@@ -22,8 +22,6 @@ from .core import (
     PhaseUnion,
     TropicalRay,
     check_axioms,
-    set_contains,
-    set_enumerate,
 )
 from .descartes import (
     count_negative_roots,
@@ -40,6 +38,7 @@ from .descartes import (
 from .instances import (
     KRASNER,
     PHASE,
+    RATIONALS,
     SIGN,
     TROPICAL,
     WEAK_SIGN,

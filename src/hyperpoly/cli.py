@@ -18,7 +18,7 @@ import sys
 from . import descartes as descartes_mod
 from . import tropical_newton as tn
 from .core import DomainError, ParseError, check_axioms
-from .instances import TROPICAL, RationalField, parse_field
+from .instances import RATIONALS, TROPICAL, RationalField, TropicalHyperfield, parse_field
 from .polynomial import (
     MultReport,
     format_poly,
@@ -28,8 +28,6 @@ from .polynomial import (
     poly_sort_key,
     quotients,
 )
-
-RATIONALS = RationalField()
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -66,13 +64,17 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    """The ``roots`` verb, and ``factor``, its form that only accepts T."""
     F = parse_field(args.field)
+    tropical = isinstance(F, TropicalHyperfield)
+    if args.verb == "factor" and not tropical:
+        raise DomainError("factor is only defined over T")
     p = parse_poly(F, args.poly)
     if p.is_zero():
         raise DomainError("the zero polynomial has no well-defined roots")
-    if F == TROPICAL:
+    if tropical:
         ms = tn.tropical_roots(p)
-        values = [TROPICAL.format_value(v) for v in ms.values]
+        values = [F.format_value(v) for v in ms.values]
         payload = {"field": F.name, "poly": format_poly(p), "roots": values}
         lines = [f"roots={','.join(values)}"]
         _emit(args, payload, lines)
@@ -151,7 +153,7 @@ def _cmd_descartes(args) -> int:
 
 def _cmd_newton(args) -> int:
     F = parse_field(args.field)
-    if F == TROPICAL:
+    if isinstance(F, TropicalHyperfield):
         p = parse_poly(F, args.poly)
         npg = tn.newton_polygon(p)
         payload = {
@@ -173,7 +175,7 @@ def _cmd_newton(args) -> int:
             lines.append(f"plot data written to {args.plot_data}")
         _emit(args, payload, lines)
         return 0
-    if F == RATIONALS:
+    if isinstance(F, RationalField):
         if args.prime is None:
             raise DomainError("newton over Q needs --prime")
         p = parse_poly(F, args.poly)
@@ -191,18 +193,6 @@ def _cmd_newton(args) -> int:
         _emit(args, payload, report.lines())
         return 0 if report.ok else 1
     raise DomainError("newton requires --field T, or --field Q with --prime")
-
-
-def _cmd_factor(args) -> int:
-    F = parse_field(args.field)
-    if F != TROPICAL:
-        raise DomainError("factor is only defined over T")
-    p = parse_poly(F, args.poly)
-    ms = tn.tropical_roots(p)
-    values = [TROPICAL.format_value(v) for v in ms.values]
-    payload = {"field": "T", "poly": format_poly(p), "roots": values}
-    _emit(args, payload, [f"roots={','.join(values)}"])
-    return 0
 
 
 def _cmd_hyperprod(args) -> int:
@@ -234,10 +224,11 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("HYPERPOLY_SEED", "0"))
+    defaults = {"descartes": 200, "newton": 100, "tropical": 500}
+    count = defaults[args.what] if args.cases is None else args.cases
     failures = 0
     lines = []
     if args.what == "descartes":
-        count = args.cases or 200
         reports = descartes_mod.verify_descartes_batch(count, seed=seed)
         for i, rep in enumerate(reports):
             if not rep.ok:
@@ -245,7 +236,6 @@ def _cmd_verify(args) -> int:
                 lines.append(f"case={i} ok=no poly={format_poly(rep.poly)}")
         lines.append(f"what=descartes cases={count} seed={seed} failures={failures}")
     elif args.what == "newton":
-        count = args.cases or 100
         reports = tn.newton_verify_batch(count, seed=seed)
         for i, rep in enumerate(reports):
             if not rep.ok:
@@ -253,7 +243,6 @@ def _cmd_verify(args) -> int:
                 lines.append(f"case={i} ok=no poly={format_poly(rep.poly)} prime={rep.prime}")
         lines.append(f"what=newton cases={count} seed={seed} failures={failures}")
     else:
-        count = args.cases or 500
         results = tn.tropical_roundtrip_batch(count, seed=seed)
         for i, (ms, back, inp, feq) in enumerate(results):
             if ms != back or not inp or not feq:
@@ -263,6 +252,13 @@ def _cmd_verify(args) -> int:
     payload = {"what": args.what, "seed": seed, "failures": failures}
     _emit(args, payload, lines)
     return 0 if failures == 0 else 1
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("factor", help="tropical factorization into roots")
     common(sp)
-    sp.set_defaults(fn=_cmd_factor)
+    sp.set_defaults(fn=_cmd_roots)
 
     sp = sub.add_parser("hyperprod",
                         help="hyperproduct of polynomials under an association")
@@ -330,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a seeded verification batch")
     sp.add_argument("--what", choices=("descartes", "newton", "tropical"),
                     required=True)
-    sp.add_argument("--cases", type=int)
+    sp.add_argument("--cases", type=positive_int,
+                    help="batch size; defaults to 200, 100 or 500 by --what")
     sp.add_argument("--seed", type=int,
                     help="defaults to the HYPERPOLY_SEED environment variable")
     sp.add_argument("--format", choices=("text", "json"), default="text")

@@ -65,10 +65,12 @@ INF = _Infinity()
 
 @dataclass(frozen=True, slots=True)
 class Element:
-    """A value tagged with the hyperfield it belongs to.
+    """A value tagged with the hyperfield instance it belongs to.
 
-    Carrying the owning instance makes cross-instance misuse a checked
-    error instead of silent nonsense.
+    Instances are identified by object, so an element of another instance is
+    rejected even when the two share a name.  Public operations check
+    membership once, at the boundary; the kernels behind them work on the
+    raw values.
     """
 
     field: "Hyperfield"
@@ -90,6 +92,10 @@ class HyperSet:
     field: "Hyperfield"
 
     def contains(self, x: Element) -> bool:
+        self.field.check_member(x)
+        return self.contains_value(x.value)
+
+    def contains_value(self, v) -> bool:
         raise NotImplementedError
 
     def enumerate(self) -> list[Element]:
@@ -106,9 +112,8 @@ class FiniteSet(HyperSet):
     field: "Hyperfield"
     values: frozenset
 
-    def contains(self, x: Element) -> bool:
-        self.field.check_member(x)
-        return x.value in self.values
+    def contains_value(self, v) -> bool:
+        return v in self.values
 
     def enumerate(self) -> list[Element]:
         ordered = sorted(self.values, key=self.field.sort_key)
@@ -130,9 +135,8 @@ class TropicalRay(HyperSet):
     field: "Hyperfield"
     lower: Fraction
 
-    def contains(self, x: Element) -> bool:
-        self.field.check_member(x)
-        return x.value is INF or x.value >= self.lower
+    def contains_value(self, v) -> bool:
+        return v is INF or v >= self.lower
 
     def enumerate(self) -> list[Element]:
         raise NonEnumerableError(f"tropical ray [{self.lower}, inf] is infinite")
@@ -160,11 +164,9 @@ class PhaseUnion(HyperSet):
     arcs: tuple  # ((lo, hi), ...) with 0 <= lo < 2 and lo < hi < lo + 1
     points: frozenset  # angles in [0, 2)
 
-    def contains(self, x: Element) -> bool:
-        self.field.check_member(x)
-        if x.value is None:
+    def contains_value(self, q) -> bool:
+        if q is None:
             return self.has_zero
-        q = x.value
         if q in self.points:
             return True
         return any(0 < (q - lo) % 2 < hi - lo for lo, hi in self.arcs)
@@ -183,22 +185,12 @@ class PhaseUnion(HyperSet):
         return "{" + ", ".join(parts) + "}"
 
 
-def set_contains(s: HyperSet, x: Element) -> bool:
-    """Exact membership test, decidable for every variant."""
-    return s.contains(x)
-
-
-def set_enumerate(s: HyperSet) -> list[Element]:
-    """List a finite hyperset in canonical order; error on infinite variants."""
-    return s.enumerate()
-
-
 class Hyperfield:
     """Base class for hyperfield instances.
 
     Subclasses provide the carrier conventions and the raw-value operations;
     the base class wraps them in the element-level API and supplies the
-    generic recursive hypersum.
+    generic recursive hypersum.  Instances compare by object identity.
     """
 
     name: str
@@ -290,7 +282,7 @@ class Hyperfield:
         return [Element(self, v) for v in self.sample_values()]
 
     def check_member(self, a: Element) -> None:
-        if not isinstance(a, Element) or a.field != self:
+        if not isinstance(a, Element) or a.field is not self:
             raise DomainError(f"element {a!r} does not belong to {self.name}")
 
     def hyperadd(self, a: Element, b: Element) -> HyperSet:
@@ -315,7 +307,7 @@ class Hyperfield:
 
     def add_set(self, s: HyperSet, c: Element) -> HyperSet:
         self.check_member(c)
-        if s.field != self:
+        if s.field is not self:
             raise DomainError("hyperset belongs to a different instance")
         return self.add_set_value(s, c.value)
 
@@ -331,22 +323,18 @@ class Hyperfield:
         The empty sum is ``{0}``.  Associativity of the binary operation
         makes the result independent of the term order.
         """
-        return self.hypersum_recursive(terms)
-
-    def hypersum_recursive(self, terms: Sequence[Element]) -> HyperSet:
         acc: HyperSet = FiniteSet(self, frozenset({self.zero_value()}))
         for t in terms:
             self.check_member(t)
             acc = self.add_set_value(acc, t.value)
         return acc
 
-    # -- identity ------------------------------------------------------------
+    # -- root multiplicities ------------------------------------------------
 
-    def __eq__(self, other):
-        return isinstance(other, Hyperfield) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
+    def rule_multiplicity(self, p, a):
+        """The multiplicity report of a nonzero ``a`` as a root of ``p`` by a
+        closed-form rule of this instance, or None to search quotients."""
+        return None
 
     def __repr__(self):
         return f"<hyperfield {self.name}>"
@@ -479,10 +467,6 @@ class AxiomReport:
         return out
 
 
-def _hypersets_equal(s: HyperSet, t: HyperSet) -> bool:
-    return s == t
-
-
 def check_axioms(F: Hyperfield) -> AxiomReport:
     """Check the hypergroup and hyperfield axioms on ``F``.
 
@@ -496,11 +480,6 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     zero = F.zero_value()
     fmt = F.format_value
     checks = []
-
-    def member(s: HyperSet, v) -> bool:
-        if isinstance(s, FiniteSet):
-            return v in s.values
-        return s.contains(Element(F, v))
 
     def run(axiom, gen):
         for witness in gen:
@@ -516,15 +495,14 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def gen_commutative():
         for a, b in itertools.product(vals, repeat=2):
-            if not _hypersets_equal(F.hyperadd_values(a, b),
-                                    F.hyperadd_values(b, a)):
+            if F.hyperadd_values(a, b) != F.hyperadd_values(b, a):
                 yield f"a={fmt(a)}, b={fmt(b)}"
 
     def gen_associative():
         for a, b, c in itertools.product(vals, repeat=3):
             left = F.add_set_value(F.hyperadd_values(b, c), a)
             right = F.add_set_value(F.hyperadd_values(a, b), c)
-            if not _hypersets_equal(left, right):
+            if left != right:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     def gen_neutral():
@@ -540,20 +518,20 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             except DomainError:
                 yield f"a={fmt(a)}: no hyperinverse"
                 return
-            if not member(F.hyperadd_values(a, na), zero):
+            if not F.hyperadd_values(a, na).contains_value(zero):
                 yield f"a={fmt(a)}: 0 not in a+(-a)"
                 return
             others = [x for x in vals
-                      if x != na and member(F.hyperadd_values(a, x), zero)]
+                      if x != na and F.hyperadd_values(a, x).contains_value(zero)]
             if others:
                 yield f"a={fmt(a)}: second inverse {fmt(others[0])}"
 
     def gen_reversible():
         for a, b, c in itertools.product(vals, repeat=3):
             try:
-                lhs = member(F.hyperadd_values(b, c), a)
-                rhs = member(F.hyperadd_values(F.neg_value(a), c),
-                             F.neg_value(b))
+                lhs = F.hyperadd_values(b, c).contains_value(a)
+                rhs = F.hyperadd_values(F.neg_value(a), c).contains_value(
+                    F.neg_value(b))
             except DomainError:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}: hyperinverse undefined"
                 return
@@ -573,7 +551,7 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             else:
                 left = F.scale_set_value(a, bc)
             right = F.hyperadd_values(F.mul_values(a, b), F.mul_values(a, c))
-            if not _hypersets_equal(left, right):
+            if left != right:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     run("nonempty", gen_nonempty())

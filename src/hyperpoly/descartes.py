@@ -11,10 +11,8 @@ from typing import Optional, Sequence
 
 from . import ratpoly
 from .core import DomainError
-from .instances import SIGN, RationalField, sign_map
+from .instances import RATIONALS, SIGN, RationalField, sign_map
 from .polynomial import Poly, poly, poly_from_elements
-
-RATIONALS = RationalField()
 
 DEFAULT_SPLIT_ROOT_POOL = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -28,7 +26,7 @@ def sign_changes(p: Poly) -> int:
     Pairs of opposite nonzero coefficients separated only by zeros count
     once, which is the same as counting adjacent flips after dropping zeros.
     """
-    if p.field != SIGN:
+    if p.field is not SIGN:
         raise DomainError("sign_changes expects a polynomial over S")
     if p.is_zero():
         raise DomainError("sign_changes is undefined for the zero polynomial")
@@ -55,7 +53,7 @@ def mult_neg_one_direct(p: Poly) -> int:
 
 def sign_image(p: Poly) -> Poly:
     """Map a rational polynomial through the sign homomorphism."""
-    if p.field != RATIONALS:
+    if not isinstance(p.field, RationalField):
         raise DomainError("sign_image expects a polynomial over Q")
     return poly(SIGN, [sign_map(c.value).value for c in p.coeffs])
 
@@ -79,7 +77,7 @@ def count_positive_roots(p: Poly) -> int:
     squarefree factors, and each factor's distinct positive roots are counted
     by a Sturm chain evaluated at the limits 0+ and +inf.
     """
-    if p.field != RATIONALS:
+    if not isinstance(p.field, RationalField):
         raise DomainError("count_positive_roots expects a polynomial over Q")
     if p.is_zero():
         raise DomainError("root count is undefined for the zero polynomial")
@@ -93,7 +91,7 @@ def count_positive_roots(p: Poly) -> int:
 
 
 def count_negative_roots(p: Poly) -> int:
-    if p.field != RATIONALS:
+    if not isinstance(p.field, RationalField):
         raise DomainError("count_negative_roots expects a polynomial over Q")
     if p.is_zero():
         raise DomainError("root count is undefined for the zero polynomial")

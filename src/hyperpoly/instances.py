@@ -6,6 +6,7 @@ plus hyperfield homomorphisms (sign map, p-adic valuation) and their checker.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -87,6 +88,9 @@ class RationalField(Hyperfield):
 
     def parse_value(self, text: str):
         return _parse_fraction(text)
+
+
+RATIONALS = RationalField()
 
 
 class PrimeField(Hyperfield):
@@ -276,6 +280,11 @@ class TropicalHyperfield(Hyperfield):
 
     def sort_key(self, v):
         return (1, 0) if v is INF else (0, v)
+
+    def rule_multiplicity(self, p, a):
+        from .tropical_newton import mult_tropical
+
+        return mult_tropical(p, a)
 
 
 TROPICAL = TropicalHyperfield()
@@ -520,6 +529,9 @@ PHASE = PhaseHyperfield()
 
 QUOTIENT_PRIME_BOUND = 101
 
+# one live instance per (p, subgroup); entries vanish with their instance
+_QUOTIENTS = weakref.WeakValueDictionary()
+
 
 class QuotientHyperfield(FiniteHyperfield):
     """The quotient of a prime field by a multiplicative subgroup.
@@ -582,11 +594,15 @@ def build_quotient(p: int, generators, bound: int = QUOTIENT_PRIME_BOUND,
                    check: bool = True) -> QuotientHyperfield:
     """Build F_p modulo the subgroup generated by ``generators``.
 
-    The result always satisfies the hyperfield axioms; by default this is
-    verified once at build time as a guard against table bugs (callers that
-    immediately re-run the checker can pass ``check=False``).
+    Generator lists that close to the same subgroup give the same instance
+    for as long as one is alive elsewhere, so their elements can be mixed;
+    nothing keeps an instance alive beyond its last user.  The result always
+    satisfies the hyperfield axioms; by default this is verified at every
+    call as a guard against table bugs (callers that immediately re-run the
+    checker can pass ``check=False``).
     """
     q = QuotientHyperfield(p, generators, bound)
+    q = _QUOTIENTS.setdefault((p, q.subgroup), q)
     if check:
         report = check_axioms(q)
         if not report.passed:
@@ -698,13 +714,11 @@ class Homomorphism:
 
 
 def sign_hom() -> Homomorphism:
-    Q = RationalField()
-    return Homomorphism(Q, SIGN, lambda x: sign_map(x.value), "sign")
+    return Homomorphism(RATIONALS, SIGN, lambda x: sign_map(x.value), "sign")
 
 
 def padic_hom(p: int) -> Homomorphism:
-    Q = RationalField()
-    return Homomorphism(Q, TROPICAL, lambda x: padic_valuation(x.value, p),
+    return Homomorphism(RATIONALS, TROPICAL, lambda x: padic_valuation(x.value, p),
                         f"padic:{p}")
 
 
@@ -764,21 +778,15 @@ def parse_field(spec: str) -> Hyperfield:
     """Parse a hyperfield spec string.
 
     Known forms: ``Q``, ``Fp:<p>``, ``S``, ``K``, ``W``, ``P``, ``T``,
-    ``quot:<p>:<g1,g2,...>``.
+    ``quot:<p>:<g1,g2,...>``.  The named forms return the module singletons
+    (``parse_field("S") is SIGN``) and quotients come from
+    :func:`build_quotient`; ``Fp:<p>`` builds a new instance.
     """
     spec = spec.strip()
-    if spec == "Q":
-        return RationalField()
-    if spec == "S":
-        return sign_hyperfield()
-    if spec == "K":
-        return krasner_hyperfield()
-    if spec == "W":
-        return weak_sign_hyperfield()
-    if spec == "P":
-        return PhaseHyperfield()
-    if spec == "T":
-        return TropicalHyperfield()
+    named = {"Q": RATIONALS, "S": SIGN, "K": KRASNER, "W": WEAK_SIGN,
+             "P": PHASE, "T": TROPICAL}
+    if spec in named:
+        return named[spec]
     if spec.startswith("Fp:"):
         try:
             p = int(spec[3:])

@@ -121,6 +121,30 @@ def linear_poly(field: Hyperfield, a: Element) -> Poly:
     return poly_from_elements(field, (field.neg(a), field.one()))
 
 
+def _quotients_raw(F: Hyperfield, c: tuple, a) -> list:
+    """Raw coefficient tuples of all q with c in (T - a) q, in canonical order.
+
+    ``c`` is a normalized nonzero coefficient tuple and ``a`` a raw value.
+    """
+    n = len(c) - 1
+    if n == 0:
+        return []
+    zero = F.zero_value()
+    if a == zero:
+        return [c[1:]] if c[0] == zero else []
+    if not F.enumerable_sums:
+        raise NonEnumerableError(
+            f"{F.name}: quotient enumeration needs finite hypersums")
+    chains = [(c[n],)]  # chains grow as (d_{n-1}, ..., d_i)
+    for i in range(n - 1, 0, -1):
+        ci = c[i]
+        chains = [chain + (d,) for chain in chains
+                  for d in F.hyperadd_values(ci, F.mul_values(a, chain[-1])).values]
+    found = {chain[::-1] for chain in chains
+             if F.neg_value(F.mul_values(a, chain[-1])) == c[0]}
+    return sorted(found, key=lambda q: tuple(map(F.sort_key, q)))
+
+
 def quotients(p: Poly, a: Element) -> tuple:
     """All q with p in (T - a) q, via the backward recursion.
 
@@ -133,31 +157,7 @@ def quotients(p: Poly, a: Element) -> tuple:
     F.check_member(a)
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    n = p.degree
-    if n == 0:
-        return ()
-    if a.value == F.zero_value():
-        if p.coeffs[0].value == F.zero_value():
-            return (Poly(F, p.coeffs[1:]),)
-        return ()
-    if not F.enumerable_sums:
-        raise NonEnumerableError(
-            f"{F.name}: quotient enumeration needs finite hypersums")
-    chains = [(p.coeffs[n],)]  # chains grow as (d_{n-1}, ..., d_i)
-    for i in range(n - 1, 0, -1):
-        ci = p.coeffs[i]
-        nxt = []
-        for chain in chains:
-            options = F.hyperadd(ci, F.mul(a, chain[-1]))
-            for d in options.enumerate():
-                nxt.append(chain + (d,))
-        chains = nxt
-    c0 = p.coeffs[0]
-    found = set()
-    for chain in chains:
-        if F.neg(F.mul(a, chain[-1])) == c0:
-            found.add(poly_from_elements(F, tuple(reversed(chain))))
-    return tuple(sorted(found, key=poly_sort_key))
+    return tuple(poly(F, q) for q in _quotients_raw(F, p.values(), a.value))
 
 
 def divides_with_quotient(p: Poly, a: Element, q: Poly) -> bool:
@@ -204,48 +204,45 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     best quotient.
 
     The zero element is handled directly (the unique-quotient chain strips the
-    lowest coefficient), tropical values go through the Newton-polygon rule,
-    and nonzero phase elements are rejected: no finite procedure applies.
-    ``memo`` may be shared across calls to reuse sub-results in batch runs.
+    lowest coefficient), the instance's ``rule_multiplicity`` may answer by a
+    closed form (the Newton polygon over ``T``), and other instances without
+    enumerable hypersums are rejected.  The search runs on raw values.
+    ``memo`` may be shared across calls; its keys hold the instance.
     """
     F = p.field
     F.check_member(a)
     if p.is_zero():
         raise DomainError("multiplicity is undefined for the zero polynomial")
-    if a.value == F.zero_value():
-        zero = F.zero_value()
+    zero = F.zero_value()
+    if a.value == zero:
         r = next(i for i, c in enumerate(p.coeffs) if c.value != zero)
-        chain = []
-        current = p
-        for _ in range(r):
-            current = Poly(F, current.coeffs[1:])
-            chain.append(current)
-        return MultReport(a, r, "zero-order", tuple(chain))
-    if F.name == "T":
-        from . import tropical_newton
-
-        return tropical_newton.mult_tropical(p, a)
-    if F.name == "P":
+        chain = tuple(Poly(F, p.coeffs[i:]) for i in range(1, r + 1))
+        return MultReport(a, r, "zero-order", chain)
+    report = F.rule_multiplicity(p, a)
+    if report is not None:
+        return report
+    if not F.enumerable_sums:
         raise NonEnumerableError(
-            "multiplicity over the phase hyperfield is only supported at zero")
+            f"{F.name}: multiplicity away from zero needs finite hypersums")
     if memo is None:
         memo = {}
+    av = a.value
 
-    def rec(q: Poly):
-        key = (F.name, q.values(), a.value)
+    def rec(q: tuple):
+        key = (F, q, av)
         hit = memo.get(key)
         if hit is not None:
             return hit
         best = (0, ())
-        for cand in quotients(q, a):
+        for cand in _quotients_raw(F, q, av):
             m, chain = rec(cand)
             if m + 1 > best[0]:
                 best = (m + 1, (cand,) + chain)
         memo[key] = best
         return best
 
-    m, chain = rec(p)
-    return MultReport(a, m, "recursive", chain)
+    m, chain = rec(p.values())
+    return MultReport(a, m, "recursive", tuple(poly(F, q) for q in chain))
 
 
 def witness_chain_valid(p: Poly, report: MultReport) -> bool:
@@ -263,77 +260,73 @@ def witness_chain_valid(p: Poly, report: MultReport) -> bool:
 # -- polynomial hyperoperations ---------------------------------------------
 
 
-def _enumerate_or_raise(s: HyperSet) -> list:
-    if not s.is_finite():
+def _choices(F: Hyperfield, sums: list) -> frozenset:
+    """Every polynomial whose i-th coefficient is chosen from ``sums[i]``."""
+    if not all(s.is_finite() for s in sums):
         raise NonEnumerableError(
             "polynomial hyperoperations need finitely enumerable hypersums")
-    return s.enumerate()
+    return frozenset(poly(F, combo)
+                     for combo in itertools.product(*(s.values for s in sums)))
 
 
 def hyper_add_poly(p: Poly, q: Poly) -> frozenset:
     """Coefficientwise hypersum: every choice of e_i in c_i + d_i."""
     F = p.field
-    if q.field != F:
+    if q.field is not F:
         raise DomainError("polynomials over different instances")
     n = max(len(p.coeffs), len(q.coeffs))
-    options = []
-    for i in range(n):
-        s = F.hyperadd(p.coeff(i), q.coeff(i))
-        options.append(_enumerate_or_raise(s))
-    out = set()
-    for combo in itertools.product(*options):
-        out.add(poly_from_elements(F, combo))
-    return frozenset(out)
+    return _choices(F, [F.hyperadd(p.coeff(i), q.coeff(i)) for i in range(n)])
 
 
 def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
     """Cauchy-product hypersum: every choice of e_i in sum of c_k d_l, k+l=i."""
     F = p.field
-    if q.field != F:
+    if q.field is not F:
         raise DomainError("polynomials over different instances")
     if p.is_zero() or q.is_zero():
         return frozenset({Poly(F, ())})
     n, m = p.degree, q.degree
-    options = []
-    for i in range(n + m + 1):
-        terms = [F.mul(p.coeffs[k], q.coeffs[i - k])
-                 for k in range(max(0, i - m), min(n, i) + 1)]
-        options.append(_enumerate_or_raise(F.hypersum(terms)))
-    out = set()
-    for combo in itertools.product(*options):
-        out.add(poly_from_elements(F, combo))
-    return frozenset(out)
+    return _choices(F, [F.hypersum([F.mul(p.coeffs[k], q.coeffs[i - k])
+                                    for k in range(max(0, i - m), min(n, i) + 1)])
+                        for i in range(n + m + 1)])
+
+
+ASSOC_MAX_DEPTH = 256
 
 
 def parse_assoc(text: str):
-    """Parse an association tree over 1-based factor indices: ``((1 2) 3)``."""
+    """Parse an association tree over 1-based factor indices: ``((1 2) 3)``.
+
+    The parser keeps an explicit stack of open nodes.  Trees nested more than
+    ``ASSOC_MAX_DEPTH`` levels deep are rejected, because evaluating a tree
+    recurses once per level.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def node():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unbalanced association tree")
-        tok = tokens[pos]
-        pos += 1
+    stack = [[]]  # the subtrees read so far, one list per open node
+    for tok in tokens:
         if tok == "(":
-            left = node()
-            right = node()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ParseError("association nodes must pair exactly two subtrees")
-            pos += 1
-            return (left, right)
+            if len(stack) > ASSOC_MAX_DEPTH:
+                raise ParseError("association tree nested more than "
+                                 f"{ASSOC_MAX_DEPTH} levels deep")
+            stack.append([])
+            continue
         if tok == ")":
-            raise ParseError("unexpected ')' in association tree")
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"bad token {tok!r} in association tree") from None
-
-    tree = node()
-    if pos != len(tokens):
+            if len(stack) == 1:
+                raise ParseError("unexpected ')' in association tree")
+            node = tuple(stack.pop())
+            if len(node) != 2:
+                raise ParseError("association nodes must pair exactly two subtrees")
+        else:
+            try:
+                node = int(tok)
+            except ValueError:
+                raise ParseError(f"bad token {tok!r} in association tree") from None
+        stack[-1].append(node)
+    if len(stack) != 1 or not stack[0]:
+        raise ParseError("unbalanced association tree")
+    if len(stack[0]) != 1:
         raise ParseError("trailing tokens in association tree")
-    return tree
+    return stack[0][0]
 
 
 def _tree_leaves(tree) -> list:
@@ -362,7 +355,7 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
         raise DomainError("hyperproduct of no factors")
     F = factors[0].field
     for f in factors:
-        if f.field != F:
+        if f.field is not F:
             raise DomainError("factors over different instances")
     if association is None:
         tree = left_nested_assoc(len(factors))

@@ -16,15 +16,13 @@ from typing import Optional, Sequence
 
 from . import ratpoly
 from .core import INF, DomainError, Element
-from .instances import TROPICAL, RationalField, padic_valuation
+from .instances import TROPICAL, RationalField, TropicalHyperfield, padic_valuation
 from .polynomial import (
     MultReport,
     Poly,
     divides_with_quotient,
     poly,
 )
-
-RATIONALS = RationalField()
 
 
 def _t_add(x, y):
@@ -43,7 +41,8 @@ def _t_sub(x, y):
 
 def _value_of(s):
     if isinstance(s, Element):
-        TROPICAL.check_member(s)
+        if not isinstance(s.field, TropicalHyperfield):
+            raise DomainError(f"element {s!r} is not tropical")
         return s.value
     return TROPICAL.validate_value(s)
 
@@ -88,7 +87,7 @@ def newton_polygon(p: Poly) -> NewtonPolygon:
     ``inf_prefix``; the hull is computed over the remaining finite points by
     a monotone chain with exact cross products.
     """
-    if p.field != TROPICAL:
+    if not isinstance(p.field, TropicalHyperfield):
         raise DomainError("newton_polygon expects a polynomial over T")
     if p.is_zero():
         raise DomainError("the zero polynomial (all-inf coefficients) has no polygon")
@@ -186,7 +185,7 @@ def expand_roots(roots, lead=Fraction(0)) -> Poly:
 
 def eval_function(p: Poly, b) -> Fraction:
     """The min-plus polynomial function: min over i of c_i + i*b."""
-    if p.field != TROPICAL:
+    if not isinstance(p.field, TropicalHyperfield):
         raise DomainError("eval_function expects a polynomial over T")
     if p.is_zero():
         raise DomainError("the zero polynomial has no function value")
@@ -204,7 +203,7 @@ def _roots_function_value(vals, b) -> Fraction:
 
 
 def _check_monic_roots(p: Poly, roots) -> list:
-    if p.field != TROPICAL:
+    if not isinstance(p.field, TropicalHyperfield):
         raise DomainError("expected a polynomial over T")
     if p.is_zero():
         raise DomainError("the zero polynomial does not factor")
@@ -311,22 +310,23 @@ def mult_tropical(p: Poly, s) -> MultReport:
     checked against the divisibility conditions directly; the recursion
     removes one copy of s from the root multiset per step.
     """
-    if p.field != TROPICAL:
+    F = p.field
+    if not isinstance(F, TropicalHyperfield):
         raise DomainError("mult_tropical expects a polynomial over T")
     if p.is_zero():
         raise DomainError("multiplicity is undefined for the zero polynomial")
     s_val = _value_of(s)
-    elem = Element(TROPICAL, s_val)
+    elem = Element(F, s_val)
     lead = p.coeffs[-1].value
     monic_vals = [_t_sub(v, lead) for v in p.values()]
-    mp = poly(TROPICAL, monic_vals)
+    mp = poly(F, monic_vals)
     roots = list(tropical_roots(mp).values)
     m = sum(1 for v in roots if v == s_val or (v is INF and s_val is INF))
     chain = []
     cur, cur_scaled, cur_roots = mp, p, list(roots)
     for _ in range(m):
         q = _divide_root(cur, s_val, cur_roots)
-        q_scaled = poly(TROPICAL, [_t_add(v, lead) for v in q.values()])
+        q_scaled = poly(F, [_t_add(v, lead) for v in q.values()])
         if not divides_with_quotient(cur_scaled, elem, q_scaled):
             raise AssertionError("tropical witness quotient failed to divide")
         chain.append(q_scaled)
@@ -378,7 +378,7 @@ def newton_rule_verify(p: Poly, prime: int,
     length nu_s, with equality on every slope (and the lengths summing to the
     degree) when the hint certifies a full rational-linear factorization.
     """
-    if p.field != RATIONALS:
+    if not isinstance(p.field, RationalField):
         raise DomainError("newton_rule_verify expects a polynomial over Q")
     if p.is_zero():
         raise DomainError("cannot verify the zero polynomial")

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -9,6 +10,20 @@ from hyperpoly import parse_field, parse_poly
 from hyperpoly.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# the command lines of README.md, keyed by the name of their golden files
+README_COMMANDS = {
+    "mult": "mult --field S --poly 1,-1,-1,1 --at 1",
+    "roots": "roots --field W --poly 1,1,1",
+    "quotients": "quotients --field S --poly 1,-1,-1,1 --at 1",
+    "newton_T": "newton --field T --poly 2,0,1,inf,-1,0 --plot-data segments.txt",
+    "newton_Q": "newton --field Q --poly=-8,14,-7,1 --prime 2 --roots 1,2,4",
+    "factor": "factor --field T --poly 11,4,0",
+    "descartes": "descartes --poly 6,-7,0,1 --roots 1,2,-3",
+    "hyperprod": 'hyperprod --field S --polys "(-1,1);(-1,1);(1,1)" --assoc "((1 2) 3)"',
+    "axioms": "axioms --field quot:7:2",
+    "verify": "verify --what tropical --cases 500",
+}
 
 
 def run(capsys, *argv):
@@ -128,6 +143,25 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_verify_cases_below_one_is_two(self, capsys, cases):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--what", "tropical", "--cases", cases])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        # argparse prints its usage line first, then the error
+        assert err[0].startswith("usage: hyperpoly verify ")
+        assert err[-1] == ("hyperpoly verify: error: argument --cases: "
+                           f"must be at least 1, got {cases}")
+
+    def test_deep_association_tree_is_two(self, capsys):
+        tree = "(" * 1100 + "1" + " 2)" * 1100
+        code, _, err = run(capsys, "hyperprod", "--field", "S",
+                           "--polys", "(-1,1);(1,1)", "--assoc", tree)
+        assert code == 2
+        assert err.splitlines()[0] == \
+            "parse error: association tree nested more than 256 levels deep"
+
 
 class TestOutputStability:
     @pytest.mark.parametrize("name,argv", [
@@ -142,6 +176,19 @@ class TestOutputStability:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", list(README_COMMANDS))
+    def test_readme_snapshot(self, capsys, monkeypatch, tmp_path, name, fmt, ext):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HYPERPOLY_SEED", raising=False)
+        argv = shlex.split(README_COMMANDS[name]) + ["--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"readme_{name}.{ext}").read_text()
+        if name == "newton_T":
+            assert (tmp_path / "segments.txt").read_text() == \
+                (GOLDEN / "readme_newton_T.segments.txt").read_text()
 
     def test_emitted_polynomials_reparse(self, capsys):
         code, out, _ = run(capsys, "quotients", "--field", "S",
