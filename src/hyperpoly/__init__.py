@@ -4,8 +4,9 @@ Hyperfields replace single-valued addition with set-valued hyperaddition;
 roots and their multiplicities are defined through multi-valued linear
 division.  Over the sign hyperfield the multiplicity of 1 counts coefficient
 sign changes, over the tropical hyperfield the multiplicity of s is a Newton
-polygon segment length, and both facts are cross-checked here against exact
-classical root counts of rational polynomials.
+polygon segment length.  One harness, ``verify_pushforward``, checks that a
+homomorphism f sends at most mult_b(f(p)) roots of p to b; with f = sign it
+is Descartes' rule, with f = the p-adic valuation the Newton polygon rule.
 """
 
 from .core import (
@@ -24,16 +25,9 @@ from .core import (
     check_axioms,
 )
 from .descartes import (
-    count_negative_roots,
-    count_positive_roots,
-    descartes_bound,
-    mult_neg_one_direct,
-    mult_one_direct,
+    count_roots_by_sign,
     sign_changes,
-    sign_image,
     substitute_neg,
-    verify_descartes,
-    verify_descartes_batch,
 )
 from .instances import (
     KRASNER,
@@ -80,6 +74,10 @@ from .polynomial import (
     quotients,
     witness_chain_valid,
 )
+from .pushforward import (
+    PushforwardReport,
+    verify_pushforward,
+)
 from .tropical_newton import (
     NewtonPolygon,
     NewtonSegment,
@@ -90,8 +88,6 @@ from .tropical_newton import (
     in_product,
     mult_tropical,
     newton_polygon,
-    newton_rule_verify,
-    newton_verify_batch,
     nu,
     tropical_roots,
     tropical_roundtrip_batch,

@@ -15,10 +15,18 @@ import json
 import os
 import sys
 
-from . import descartes as descartes_mod
+from . import pushforward as pf
 from . import tropical_newton as tn
-from .core import DomainError, ParseError, check_axioms
-from .instances import RATIONALS, TROPICAL, RationalField, TropicalHyperfield, parse_field
+from .core import INF, DomainError, ParseError, check_axioms
+from .instances import (
+    RATIONALS,
+    TROPICAL,
+    RationalField,
+    TropicalHyperfield,
+    padic_hom,
+    parse_field,
+    sign_hom,
+)
 from .polynomial import (
     MultReport,
     format_poly,
@@ -36,6 +44,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _key_values(payload: dict, keys) -> list[str]:
+    """``key=value`` text lines, with booleans as yes/no."""
+    def text(v):
+        return ("yes" if v else "no") if isinstance(v, bool) else v
+
+    return [f"{k}={text(payload[k])}" for k in keys]
 
 
 def _mult_payload(report: MultReport) -> dict:
@@ -137,23 +153,26 @@ def _parse_hint(text):
 
 def _cmd_descartes(args) -> int:
     p = parse_poly(RATIONALS, args.poly)
-    report = descartes_mod.verify_descartes(p, split_hint=_parse_hint(args.roots))
+    report = pf.verify_pushforward(sign_hom(), p, _parse_hint(args.roots))
     payload = {
         "poly": format_poly(p),
-        "bound_pos": report.bound_pos,
-        "bound_neg": report.bound_neg,
-        "positive_roots": report.positive_roots,
-        "negative_roots": report.negative_roots,
+        "bound_pos": report.bounds.get(1, 0),
+        "bound_neg": report.bounds.get(-1, 0),
+        "positive_roots": report.counts.get(1, 0),
+        "negative_roots": report.counts.get(-1, 0),
         "split_certified": report.split_certified,
         "ok": report.ok,
     }
-    _emit(args, payload, report.lines())
+    _emit(args, payload, _key_values(payload, payload))
     return 0 if report.ok else 1
 
 
 def _cmd_newton(args) -> int:
     F = parse_field(args.field)
     if isinstance(F, TropicalHyperfield):
+        for flag, value in (("--prime", args.prime), ("--roots", args.roots)):
+            if value is not None:
+                raise DomainError(f"{flag} applies only to newton over Q")
         p = parse_poly(F, args.poly)
         npg = tn.newton_polygon(p)
         payload = {
@@ -176,21 +195,32 @@ def _cmd_newton(args) -> int:
         _emit(args, payload, lines)
         return 0
     if isinstance(F, RationalField):
+        if args.plot_data is not None:
+            raise DomainError("--plot-data applies only to newton over T")
         if args.prime is None:
             raise DomainError("newton over Q needs --prime")
         p = parse_poly(F, args.poly)
-        report = tn.newton_rule_verify(p, args.prime,
-                                       split_hint=_parse_hint(args.roots))
+        report = pf.verify_pushforward(padic_hom(args.prime), p, _parse_hint(args.roots))
+        # one row per slope, steepest first, inf last
+        slopes = sorted(set(report.bounds) | set(report.counts or ()),
+                        key=lambda s: (s is INF, 0 if s is INF else -s))
+        rows = [{"slope": TROPICAL.format_value(s), "nu": report.bounds.get(s, 0),
+                 "roots": None if report.counts is None else report.counts.get(s, 0)}
+                for s in slopes]
         payload = {
             "poly": format_poly(p),
-            "prime": report.prime,
-            "valuations": format_poly(report.valuation_poly),
-            "rows": [{"slope": TROPICAL.format_value(r.slope), "nu": r.nu,
-                      "roots": r.root_count} for r in report.rows],
+            "prime": args.prime,
+            "valuations": format_poly(report.image),
+            "rows": rows,
             "split_certified": report.split_certified,
             "ok": report.ok,
         }
-        _emit(args, payload, report.lines())
+        lines = _key_values(payload, ("prime", "valuations"))
+        lines += [f"slope={r['slope']} nu={r['nu']}"
+                  + ("" if r["roots"] is None else f" roots={r['roots']}")
+                  for r in rows]
+        lines += _key_values(payload, ("split_certified", "ok"))
+        _emit(args, payload, lines)
         return 0 if report.ok else 1
     raise DomainError("newton requires --field T, or --field Q with --prime")
 
@@ -223,32 +253,31 @@ def _cmd_hyperprod(args) -> int:
 def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("HYPERPOLY_SEED", "0"))
+        text = os.environ.get("HYPERPOLY_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ParseError(f"HYPERPOLY_SEED must be an integer, got {text!r}") from None
     defaults = {"descartes": 200, "newton": 100, "tropical": 500}
     count = defaults[args.what] if args.cases is None else args.cases
-    failures = 0
     lines = []
-    if args.what == "descartes":
-        reports = descartes_mod.verify_descartes_batch(count, seed=seed)
-        for i, rep in enumerate(reports):
-            if not rep.ok:
-                failures += 1
-                lines.append(f"case={i} ok=no poly={format_poly(rep.poly)}")
-        lines.append(f"what=descartes cases={count} seed={seed} failures={failures}")
-    elif args.what == "newton":
-        reports = tn.newton_verify_batch(count, seed=seed)
-        for i, rep in enumerate(reports):
-            if not rep.ok:
-                failures += 1
-                lines.append(f"case={i} ok=no poly={format_poly(rep.poly)} prime={rep.prime}")
-        lines.append(f"what=newton cases={count} seed={seed} failures={failures}")
-    else:
+    if args.what == "tropical":
         results = tn.tropical_roundtrip_batch(count, seed=seed)
         for i, (ms, back, inp, feq) in enumerate(results):
             if ms != back or not inp or not feq:
-                failures += 1
                 lines.append(f"case={i} ok=no roots={ms!r}")
-        lines.append(f"what=tropical cases={count} seed={seed} failures={failures}")
+    else:
+        homs, pool = {
+            "descartes": ((sign_hom(),), pf.DEFAULT_SPLIT_ROOT_POOL),
+            "newton": ((padic_hom(2), padic_hom(3)), pf.DEFAULT_PADIC_ROOT_POOL),
+        }[args.what]
+        corpus = pf.split_poly_corpus(count, seed, root_pool=pool)
+        for i, (p, roots) in enumerate(corpus):
+            for hom in homs:
+                if not pf.verify_pushforward(hom, p, roots).ok:
+                    lines.append(f"case={i} ok=no poly={format_poly(p)} hom={hom.rule}")
+    failures = len(lines)
+    lines.append(f"what={args.what} cases={count} seed={seed} failures={failures}")
     payload = {"what": args.what, "seed": seed, "failures": failures}
     _emit(args, payload, lines)
     return 0 if failures == 0 else 1

@@ -1,23 +1,15 @@
-"""Sign-change counting, the sign-rule multiplicity shortcut, and the
-Descartes verification harness: exact Sturm/Yun root counts of rational
-polynomials against the sign-change bound of their sign image."""
+"""The sign side of the pushforward inequality: sign changes give the
+multiplicities of 1 and -1 over the sign hyperfield in closed form, and an
+exact Yun/Sturm counter gives the real roots of a rational polynomial by
+sign.  ``sign_hom`` carries both into :mod:`hyperpoly.pushforward`, where
+they make Descartes' rule of signs."""
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
-
 from . import ratpoly
 from .core import DomainError
-from .instances import RATIONALS, SIGN, RationalField, sign_map
-from .polynomial import Poly, poly, poly_from_elements
-
-DEFAULT_SPLIT_ROOT_POOL = (
-    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-    Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
-)
+from .instances import SIGN, RationalField
+from .polynomial import Poly, poly_from_elements
 
 
 def sign_changes(p: Poly) -> int:
@@ -41,147 +33,29 @@ def substitute_neg(p: Poly) -> Poly:
     return poly_from_elements(F, flipped)
 
 
-def mult_one_direct(p: Poly) -> int:
-    """Multiplicity of 1 over the sign hyperfield, read off as sign changes."""
-    return sign_changes(p)
+def sign_roots(q: Poly) -> dict:
+    """Nonzero multiplicities of 1, -1 and 0 as roots of a sign polynomial.
+
+    The closed form of the sign rule: sign changes of q(T) and q(-T), and
+    the order of q at zero.
+    """
+    zero_order = next(i for i, c in enumerate(q.coeffs) if c.value != 0)
+    mults = {1: sign_changes(q), -1: sign_changes(substitute_neg(q)), 0: zero_order}
+    return {b: m for b, m in mults.items() if m}
 
 
-def mult_neg_one_direct(p: Poly) -> int:
-    """Multiplicity of -1: sign changes of p(-T)."""
-    return sign_changes(substitute_neg(p))
+def count_roots_by_sign(p: Poly) -> dict:
+    """Real roots of a rational polynomial with multiplicity, keyed by sign.
 
-
-def sign_image(p: Poly) -> Poly:
-    """Map a rational polynomial through the sign homomorphism."""
-    if not isinstance(p.field, RationalField):
-        raise DomainError("sign_image expects a polynomial over Q")
-    return poly(SIGN, [sign_map(c.value).value for c in p.coeffs])
-
-
-def descartes_bound(p: Poly) -> tuple[int, int]:
-    """(bound on positive roots, bound on negative roots) via sign changes."""
-    if p.is_zero():
-        raise DomainError("bound is undefined for the zero polynomial")
-    img = sign_image(p)
-    return sign_changes(img), sign_changes(substitute_neg(img))
-
-
-def _rat_coeffs(p: Poly) -> list:
-    return [Fraction(c.value) for c in p.coeffs]
-
-
-def count_positive_roots(p: Poly) -> int:
-    """Positive real roots of a rational polynomial, with multiplicity.
-
-    Roots at zero are factored out first; Yun's decomposition reduces to
-    squarefree factors, and each factor's distinct positive roots are counted
-    by a Sturm chain evaluated at the limits 0+ and +inf.
+    One Yun decomposition reduces p to squarefree factors, and one Sturm
+    chain per factor counts its negative, zero and positive roots.
     """
     if not isinstance(p.field, RationalField):
-        raise DomainError("count_positive_roots expects a polynomial over Q")
+        raise DomainError("count_roots_by_sign expects a polynomial over Q")
     if p.is_zero():
         raise DomainError("root count is undefined for the zero polynomial")
-    coeffs = _rat_coeffs(p)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    total = 0
-    for f, i in ratpoly.yun_squarefree(coeffs):
-        total += i * ratpoly.count_distinct_positive_roots(f)
-    return total
-
-
-def count_negative_roots(p: Poly) -> int:
-    if not isinstance(p.field, RationalField):
-        raise DomainError("count_negative_roots expects a polynomial over Q")
-    if p.is_zero():
-        raise DomainError("root count is undefined for the zero polynomial")
-    coeffs = _rat_coeffs(p)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    total = 0
-    for f, i in ratpoly.yun_squarefree(coeffs):
-        total += i * ratpoly.count_distinct_negative_roots(f)
-    return total
-
-
-def zero_root_order(p: Poly) -> int:
-    coeffs = _rat_coeffs(p)
-    k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
-        k += 1
-    return k
-
-
-@dataclass
-class DescartesReport:
-    poly: Poly
-    bound_pos: int
-    bound_neg: int
-    positive_roots: int
-    negative_roots: int
-    split_certified: bool
-    ok: bool
-
-    def lines(self) -> list[str]:
-        out = [
-            f"poly={','.join(str(c) for c in _rat_coeffs(self.poly))}",
-            f"bound_pos={self.bound_pos}",
-            f"bound_neg={self.bound_neg}",
-            f"positive_roots={self.positive_roots}",
-            f"negative_roots={self.negative_roots}",
-            f"split_certified={'yes' if self.split_certified else 'no'}",
-            f"ok={'yes' if self.ok else 'no'}",
-        ]
-        return out
-
-
-def verify_descartes(p: Poly, split_hint: Optional[Sequence] = None
-                     ) -> DescartesReport:
-    """Check the sign-change bound against the exact Sturm count.
-
-    The count never exceeds the bound; when ``split_hint`` lists all roots of
-    a full rational-linear factorization (verified by exact expansion), the
-    bound is attained on both sides.
-    """
-    bound_pos, bound_neg = descartes_bound(p)
-    pos = count_positive_roots(p)
-    neg = count_negative_roots(p)
-    certified = False
-    if split_hint is not None:
-        hint = [Fraction(r) for r in split_hint]
-        coeffs = _rat_coeffs(p)
-        expanded = ratpoly.expand_roots(hint, coeffs[-1])
-        if expanded != coeffs:
-            raise DomainError("split hint does not expand to the polynomial")
-        certified = True
-    ok = pos <= bound_pos and neg <= bound_neg
-    if certified:
-        ok = ok and pos == bound_pos and neg == bound_neg
-    return DescartesReport(p, bound_pos, bound_neg, pos, neg, certified, ok)
-
-
-def split_poly_corpus(count: int, seed: int = 0, max_degree: int = 6,
-                      root_pool: Sequence = DEFAULT_SPLIT_ROOT_POOL):
-    """Deterministic pseudo-random split rational polynomials.
-
-    Yields (Poly, sorted root list).  The polynomial is the exact expansion
-    of the chosen roots times a small nonzero leading coefficient.
-    """
-    rng = random.Random(seed)
-    leads = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
-    for _ in range(count):
-        deg = rng.randint(1, max_degree)
-        roots = sorted(rng.choice(root_pool) for _ in range(deg))
-        lead = rng.choice(leads)
-        coeffs = ratpoly.expand_roots(roots, lead)
-        yield poly(RATIONALS, coeffs), roots
-
-
-def verify_descartes_batch(count: int = 200, seed: int = 0,
-                           max_degree: int = 6,
-                           root_pool: Sequence = DEFAULT_SPLIT_ROOT_POOL) -> list:
-    """Run the split-polynomial equality check over a seeded corpus."""
-    reports = []
-    for p, roots in split_poly_corpus(count, seed, max_degree, root_pool):
-        reports.append(verify_descartes(p, split_hint=roots))
-    return reports
+    counts = {-1: 0, 0: 0, 1: 0}
+    for f, i in ratpoly.yun_squarefree(list(p.values())):
+        for s, n in ratpoly.count_distinct_roots_by_sign(f).items():
+            counts[s] += i * n
+    return counts

@@ -1,12 +1,14 @@
 """Concrete hyperfields: rationals, prime fields, sign, Krasner, weak sign,
 phase, tropical, and quotients of prime fields by multiplicative subgroups;
-plus hyperfield homomorphisms (sign map, p-adic valuation) and their checker.
+plus hyperfield homomorphisms (sign map, p-adic valuation), with the hooks
+the pushforward harness needs, and their checker.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -693,6 +695,10 @@ def padic_valuation(x, p: int) -> Element:
     """The p-adic valuation of a rational, as a tropical element; v(0) = inf."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x, p: int) -> Element:
     x = Fraction(x)
     if x == 0:
         return Element(TROPICAL, INF)
@@ -702,24 +708,40 @@ def padic_valuation(x, p: int) -> Element:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A map between hyperfields, with the rule it implements."""
+    """A map between hyperfields, with the rule it implements.
+
+    Two optional hooks serve :func:`hyperpoly.pushforward.verify_pushforward`:
+    ``image_roots(q)`` maps raw target values to their nonzero multiplicities
+    as roots of a target polynomial, in closed form, and ``count_roots(p)``
+    gives the classical roots of a source polynomial grouped by image.
+    """
 
     source: Hyperfield
     target: Hyperfield
     fn: Callable
     rule: str
+    image_roots: Optional[Callable] = None
+    count_roots: Optional[Callable] = None
 
     def __call__(self, x) -> Element:
         return self.fn(x)
 
 
 def sign_hom() -> Homomorphism:
-    return Homomorphism(RATIONALS, SIGN, lambda x: sign_map(x.value), "sign")
+    from .descartes import count_roots_by_sign, sign_roots
+
+    return Homomorphism(RATIONALS, SIGN, lambda x: sign_map(x.value), "sign",
+                        image_roots=sign_roots, count_roots=count_roots_by_sign)
 
 
 def padic_hom(p: int) -> Homomorphism:
-    return Homomorphism(RATIONALS, TROPICAL, lambda x: padic_valuation(x.value, p),
-                        f"padic:{p}")
+    from .tropical_newton import tropical_roots
+
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return Homomorphism(RATIONALS, TROPICAL, lambda x: _valuation(x.value, p),
+                        f"padic:{p}",
+                        image_roots=lambda q: dict(Counter(tropical_roots(q).values)))
 
 
 def quotient_projection(q: QuotientHyperfield) -> Homomorphism:

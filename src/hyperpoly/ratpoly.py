@@ -151,63 +151,24 @@ def sturm_chain(p) -> list:
 
 
 def _variations(signs) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
+    """Sign changes along a sequence of nonzero signs."""
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sign_at_pos_inf(p) -> int:
-    if is_zero(p):
-        return 0
-    return 1 if p[-1] > 0 else -1
+def _limit_signs(p) -> tuple:
+    """Signs of a nonzero p at -inf, 0-, 0+ and +inf, read off its lowest
+    and highest nonzero terms."""
+    i, low = next((i, c) for i, c in enumerate(p) if c != 0)
+    lo, hi = (1 if low > 0 else -1), (1 if p[-1] > 0 else -1)
+    return (hi if degree(p) % 2 == 0 else -hi, lo if i % 2 == 0 else -lo, lo, hi)
 
 
-def sign_at_neg_inf(p) -> int:
-    if is_zero(p):
-        return 0
-    s = 1 if p[-1] > 0 else -1
-    return s if degree(p) % 2 == 0 else -s
+def count_distinct_roots_by_sign(p) -> dict:
+    """Distinct roots of a squarefree p, keyed by sign: -1, 0 and 1.
 
-
-def _lowest_nonzero(p):
-    for i, c in enumerate(p):
-        if c != 0:
-            return i, c
-    return None, Fraction(0)
-
-
-def sign_at_zero_plus(p) -> int:
-    _, c = _lowest_nonzero(p)
-    if c == 0:
-        return 0
-    return 1 if c > 0 else -1
-
-
-def sign_at_zero_minus(p) -> int:
-    i, c = _lowest_nonzero(p)
-    if c == 0:
-        return 0
-    s = 1 if c > 0 else -1
-    return s if i % 2 == 0 else -s
-
-
-def count_distinct_positive_roots(p) -> int:
-    """Distinct roots in (0, inf) of a squarefree p with p(0) != 0.
-    Sturm evaluated at the limits 0+ and +inf, so no finite bound is chosen."""
-    chain = sturm_chain(p)
-    v0 = _variations([sign_at_zero_plus(q) for q in chain])
-    vinf = _variations([sign_at_pos_inf(q) for q in chain])
-    return v0 - vinf
-
-
-def count_distinct_negative_roots(p) -> int:
-    chain = sturm_chain(p)
-    vneg = _variations([sign_at_neg_inf(q) for q in chain])
-    v0 = _variations([sign_at_zero_minus(q) for q in chain])
-    return vneg - v0
-
-
-def count_distinct_real_roots(p) -> int:
-    chain = sturm_chain(p)
-    vneg = _variations([sign_at_neg_inf(q) for q in chain])
-    vinf = _variations([sign_at_pos_inf(q) for q in chain])
-    return vneg - vinf
+    One Sturm chain is evaluated at the limits -inf, 0-, 0+ and +inf, so
+    no finite bound is chosen; zero is a root exactly when p(0) = 0.
+    """
+    signs = [_limit_signs(q) for q in sturm_chain(p)]
+    vneg, v0m, v0p, vpos = (_variations(column) for column in zip(*signs))
+    return {-1: vneg - v0m, 0: int(p[0] == 0), 1: v0p - vpos}

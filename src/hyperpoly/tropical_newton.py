@@ -2,9 +2,10 @@
 
 The lower convex hull of the finite coefficient points determines, slope by
 slope, how many roots a tropical polynomial has at each value; this module
-computes that polygon, factors tropical polynomials into linear parts,
-checks factorizations both combinatorially and as min-plus functions, and
-verifies the polygon rule against p-adic valuations of rational polynomials.
+computes that polygon, factors tropical polynomials into linear parts, and
+checks factorizations both combinatorially and as min-plus functions.  Its
+root multiset is the closed form that ``padic_hom`` hands to
+:mod:`hyperpoly.pushforward`, where it makes the Newton polygon rule.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from . import ratpoly
 from .core import INF, DomainError, Element
-from .instances import TROPICAL, RationalField, TropicalHyperfield, padic_valuation
+from .instances import TROPICAL, TropicalHyperfield
 from .polynomial import (
     MultReport,
     Poly,
@@ -333,114 +333,6 @@ def mult_tropical(p: Poly, s) -> MultReport:
         cur_roots.remove(s_val)
         cur, cur_scaled = q, q_scaled
     return MultReport(elem, m, "newton-polygon", tuple(chain))
-
-
-# -- verification against p-adic valuations ------------------------------------
-
-
-@dataclass
-class SlopeRow:
-    slope: object          # Fraction or INF
-    nu: int
-    root_count: Optional[int]
-
-
-@dataclass
-class NewtonRuleReport:
-    poly: Poly
-    prime: int
-    valuation_poly: Poly
-    rows: list
-    split_certified: bool
-    degree_sum_ok: bool
-    ok: bool
-
-    def lines(self) -> list[str]:
-        out = [f"prime={self.prime}",
-               f"valuations={','.join(TROPICAL.format_value(v) for v in self.valuation_poly.values())}"]
-        for row in self.rows:
-            s = TROPICAL.format_value(row.slope)
-            line = f"slope={s} nu={row.nu}"
-            if row.root_count is not None:
-                line += f" roots={row.root_count}"
-            out.append(line)
-        out.append(f"split_certified={'yes' if self.split_certified else 'no'}")
-        out.append(f"ok={'yes' if self.ok else 'no'}")
-        return out
-
-
-def newton_rule_verify(p: Poly, prime: int,
-                       split_hint: Optional[Sequence] = None) -> NewtonRuleReport:
-    """Bound roots of a rational polynomial by valuation via its polygon.
-
-    The coefficients are mapped through the p-adic valuation; for each slope
-    s the number of hint roots with valuation s may not exceed the segment
-    length nu_s, with equality on every slope (and the lengths summing to the
-    degree) when the hint certifies a full rational-linear factorization.
-    """
-    if not isinstance(p.field, RationalField):
-        raise DomainError("newton_rule_verify expects a polynomial over Q")
-    if p.is_zero():
-        raise DomainError("cannot verify the zero polynomial")
-    trop = poly(TROPICAL, [padic_valuation(c.value, prime).value
-                           for c in p.coeffs])
-    npg = newton_polygon(trop)
-    counts = None
-    certified = False
-    if split_hint is not None:
-        hint = [Fraction(r) for r in split_hint]
-        coeffs = [Fraction(c.value) for c in p.coeffs]
-        if ratpoly.expand_roots(hint, coeffs[-1]) != coeffs:
-            raise DomainError("split hint does not expand to the polynomial")
-        certified = True
-        counts = {}
-        for r in hint:
-            v = padic_valuation(r, prime).value
-            counts[v] = counts.get(v, 0) + 1
-    slopes = [seg.slope for seg in npg.segments]
-    if npg.inf_prefix or (counts and INF in counts):
-        slopes.append(INF)
-    if counts:
-        for v in counts:
-            if v not in slopes:
-                slopes.append(v)
-    rows = []
-    ok = True
-    for s in slopes:
-        nu_s = npg.nu(s)
-        cnt = None if counts is None else counts.get(s, 0)
-        if cnt is not None:
-            if cnt > nu_s:
-                ok = False
-            if certified and cnt != nu_s:
-                ok = False
-        rows.append(SlopeRow(s, nu_s, cnt))
-    total = sum(seg.length for seg in npg.segments) + npg.inf_prefix
-    degree_sum_ok = total == p.degree
-    if certified:
-        ok = ok and degree_sum_ok
-    return NewtonRuleReport(p, prime, trop, rows, certified, degree_sum_ok, ok)
-
-
-DEFAULT_PADIC_ROOT_POOL = (
-    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-    Fraction(4), Fraction(-4), Fraction(1, 2), Fraction(-1, 2),
-    Fraction(3), Fraction(-3),
-)
-
-
-def newton_verify_batch(count: int = 100, seed: int = 0,
-                        primes: Sequence[int] = (2, 3),
-                        max_degree: int = 6,
-                        root_pool: Sequence = DEFAULT_PADIC_ROOT_POOL) -> list:
-    """Polygon-rule equality checks over a seeded split-polynomial corpus."""
-    from .descartes import split_poly_corpus
-
-    reports = []
-    for q, roots in split_poly_corpus(count, seed, max_degree, root_pool):
-        for prime in primes:
-            reports.append(newton_rule_verify(q, prime, split_hint=roots))
-    return reports
 
 
 DEFAULT_TROPICAL_ROOT_POOL = (

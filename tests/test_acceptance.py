@@ -30,16 +30,17 @@ from hyperpoly import (
     iso_to_named,
     multiplicity,
     newton_polygon,
-    newton_rule_verify,
     nu,
+    padic_hom,
     poly,
     quotients,
     sign_changes,
+    sign_hom,
     substitute_neg,
     tropical_roots,
-    verify_descartes,
+    verify_pushforward,
 )
-from hyperpoly.descartes import split_poly_corpus
+from hyperpoly.pushforward import split_poly_corpus
 from hyperpoly.tropical_newton import random_root_multisets
 
 RATIONALS = RationalField()
@@ -166,10 +167,10 @@ def test_criterion_09_descartes_equality_on_split_corpus():
     t0 = time.perf_counter()
     count = 0
     for p, roots in split_poly_corpus(200, seed=0, max_degree=6):
-        rep = verify_descartes(p, split_hint=roots)
+        rep = verify_pushforward(sign_hom(), p, roots)
         assert rep.ok
-        assert rep.positive_roots == rep.bound_pos
-        assert rep.negative_roots == rep.bound_neg
+        assert rep.counts.get(1, 0) == rep.bounds.get(1, 0)
+        assert rep.counts.get(-1, 0) == rep.bounds.get(-1, 0)
         count += 1
     elapsed = time.perf_counter() - t0
     assert count == 200 and elapsed < 60, f"{elapsed:.1f} s"
@@ -186,10 +187,10 @@ def test_criterion_10_newton_rule_equality_on_split_corpus():
     for p, roots in split_poly_corpus(100, seed=0, max_degree=6,
                                       root_pool=pool):
         for prime in (2, 3):
-            rep = newton_rule_verify(p, prime, split_hint=roots)
-            assert rep.ok and rep.degree_sum_ok
-            for row in rep.rows:
-                assert row.root_count == row.nu
+            rep = verify_pushforward(padic_hom(prime), p, roots)
+            assert rep.ok and sum(rep.bounds.values()) == p.degree
+            for s in set(rep.bounds) | set(rep.counts):
+                assert rep.counts.get(s, 0) == rep.bounds.get(s, 0)
         count += 1
     elapsed = time.perf_counter() - t0
     assert count == 100 and elapsed < 60, f"{elapsed:.1f} s"

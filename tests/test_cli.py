@@ -1,12 +1,14 @@
 """Command-line behavior: verbs, exit codes, formats, and golden JSON."""
 
+import dataclasses
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
 
-from hyperpoly import parse_field, parse_poly
+from hyperpoly import parse_field, parse_poly, pushforward
 from hyperpoly.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -24,6 +26,19 @@ README_COMMANDS = {
     "axioms": "axioms --field quot:7:2",
     "verify": "verify --what tropical --cases 500",
 }
+
+# the harness verbs on inputs the README does not show: no hint, a root at
+# zero, an inf row, and the verify batches at their default sizes
+HARNESS_COMMANDS = {
+    "descartes_nohint": "descartes --poly 1,0,1,0,-1",
+    "descartes_zero_root": "descartes --poly 0,6,-7,0,1 --roots 0,1,2,-3",
+    "newton_Q_nohint": "newton --field Q --poly=-2,0,1 --prime 2",
+    "newton_Q_inf": "newton --field Q --poly 0,0,-2,1 --prime 2 --roots 0,0,2",
+    "verify_descartes": "verify --what descartes",
+    "verify_newton": "verify --what newton",
+}
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -113,6 +128,27 @@ class TestVerbs:
             assert code == 0
             assert "failures=0" in out
 
+    def test_verify_failure_names_corpus_case_and_hom(self, capsys, monkeypatch):
+        calls = []
+        real = pushforward.verify_pushforward
+
+        def fail_fourth(hom, p, roots=None):
+            report = real(hom, p, roots)
+            calls.append(p)
+            if len(calls) == 4:  # corpus case 1 under its second prime
+                return dataclasses.replace(report, ok=False)
+            return report
+
+        monkeypatch.setattr(pushforward, "verify_pushforward", fail_fourth)
+        code, out, _ = run(capsys, "verify", "--what", "newton", "--cases", "3",
+                           "--seed", "0")
+        assert code == 1
+        poly_text = ",".join(str(c.value) for c in calls[3].coeffs)
+        assert out.splitlines() == [
+            f"case=1 ok=no poly={poly_text} hom=padic:3",
+            "what=newton cases=3 seed=0 failures=1",
+        ]
+
     def test_verify_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERPOLY_SEED", "42")
         code, out, _ = run(capsys, "verify", "--what", "tropical",
@@ -137,6 +173,27 @@ class TestExitCodes:
         assert code == 1
         code, _, err = run(capsys, "newton", "--field", "Q", "--poly", "1,1")
         assert code == 1
+
+    def test_non_integer_seed_env_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERPOLY_SEED", "abc")
+        code, out, err = run(capsys, "verify", "--what", "descartes")
+        assert (code, out) == (2, "")
+        assert err == "parse error: HYPERPOLY_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("flag,value", [("--prime", "2"), ("--roots", "1")])
+    def test_newton_over_t_rejects_q_flags(self, capsys, flag, value):
+        code, out, err = run(capsys, "newton", "--field", "T", "--poly", "1,0",
+                             flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} applies only to newton over Q\n"
+
+    def test_newton_over_q_rejects_plot_data(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "newton", "--field", "Q", "--poly=-2,0,1",
+                             "--prime", "2", "--plot-data", "segments.txt")
+        assert (code, out) == (1, "")
+        assert err == "error: --plot-data applies only to newton over T\n"
+        assert not (tmp_path / "segments.txt").exists()
 
     def test_unknown_verb_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -177,14 +234,24 @@ class TestOutputStability:
         assert code == 0
         assert out == (GOLDEN / name).read_text()
 
+    @staticmethod
+    def snapshot(capsys, monkeypatch, tmp_path, command, fmt):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HYPERPOLY_SEED", raising=False)
+        code, out, err = run(capsys, *shlex.split(command), "--format", fmt)
+        assert (code, err) == (0, "")
+        return out
+
+    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", list(HARNESS_COMMANDS))
+    def test_harness_snapshot(self, capsys, monkeypatch, tmp_path, name, fmt, ext):
+        out = self.snapshot(capsys, monkeypatch, tmp_path, HARNESS_COMMANDS[name], fmt)
+        assert out == (GOLDEN / f"harness_{name}.{ext}").read_text()
+
     @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("name", list(README_COMMANDS))
     def test_readme_snapshot(self, capsys, monkeypatch, tmp_path, name, fmt, ext):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("HYPERPOLY_SEED", raising=False)
-        argv = shlex.split(README_COMMANDS[name]) + ["--format", fmt]
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
+        out = self.snapshot(capsys, monkeypatch, tmp_path, README_COMMANDS[name], fmt)
         assert out == (GOLDEN / f"readme_{name}.{ext}").read_text()
         if name == "newton_T":
             assert (tmp_path / "segments.txt").read_text() == \
@@ -207,3 +274,21 @@ class TestOutputStability:
         assert out1 == out2
         payload = json.loads(out1)
         assert list(payload) == sorted(payload)
+
+
+class TestReadme:
+    def test_python_example_runs(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+
+    def test_command_lines_are_snapshotted(self):
+        text = README.read_text()
+        block = text[text.index("## Command line"):]
+        block = block[block.index("```sh\n") + 6:]
+        block = block[:block.index("```")]
+        lines = [line[len("hyperpoly "):] for line in block.splitlines()
+                 if line.startswith("hyperpoly ")]
+        assert lines
+        assert set(lines) <= set(README_COMMANDS.values())

@@ -1,31 +1,50 @@
-"""Sign changes, the sign-rule shortcut, and the Sturm/Yun root-count oracle."""
+"""Sign changes, the sign rule under the pushforward harness, and the
+Sturm/Yun root counter against sympy."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     DomainError,
     RationalField,
     SIGN,
-    count_negative_roots,
-    count_positive_roots,
-    descartes_bound,
-    mult_neg_one_direct,
-    mult_one_direct,
+    count_roots_by_sign,
     multiplicity,
     poly,
     sign_changes,
+    sign_hom,
     substitute_neg,
-    verify_descartes,
-    verify_descartes_batch,
+    verify_pushforward,
 )
 from hyperpoly import ratpoly
-from hyperpoly.descartes import split_poly_corpus, zero_root_order
+from hyperpoly.pushforward import split_poly_corpus
 
 RATIONALS = RationalField()
+X = sympy.Symbol("x")
+
+
+def sympy_sign_counts(coeffs, distinct=False) -> dict:
+    """Oracle: real roots of an ascending coefficient list by sign, from
+    sympy's exact root isolation (with multiplicity unless ``distinct``)."""
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(coeffs)], X)
+    roots = sympy.real_roots(p)
+    if distinct:
+        roots = set(roots)
+    counts = {-1: 0, 0: 0, 1: 0}
+    for r in roots:
+        counts[int(sympy.sign(r))] += 1
+    return counts
+
+
+def descartes(p, roots=None):
+    return verify_pushforward(sign_hom(), p, roots)
 
 
 class TestSignChanges:
@@ -49,14 +68,14 @@ class TestSignChanges:
 class TestDirectMultiplicities:
     def test_cubic(self):
         p = poly(SIGN, [1, -1, -1, 1])
-        assert mult_one_direct(p) == 2
-        assert mult_neg_one_direct(p) == 1
+        assert sign_changes(p) == 2
+        assert sign_changes(substitute_neg(p)) == 1
 
     def test_monomials(self):
         for n in range(1, 5):
             p = poly(SIGN, [0] * n + [1])
-            assert mult_one_direct(p) == 0
-            assert mult_neg_one_direct(p) == 0
+            assert sign_changes(p) == 0
+            assert sign_changes(substitute_neg(p)) == 0
 
     def test_matches_recursion_up_to_degree_four(self):
         memo = {}
@@ -65,8 +84,8 @@ class TestDirectMultiplicities:
             p = poly(SIGN, vec)
             if p.is_zero():
                 continue
-            assert mult_one_direct(p) == multiplicity(p, one, memo=memo).multiplicity
-            assert mult_neg_one_direct(p) == \
+            assert sign_changes(p) == multiplicity(p, one, memo=memo).multiplicity
+            assert sign_changes(substitute_neg(p)) == \
                 multiplicity(p, minus, memo=memo).multiplicity
 
 
@@ -85,29 +104,31 @@ class TestSubstituteNeg:
 
 class TestDescartesBound:
     def test_examples(self):
-        assert descartes_bound(poly(RATIONALS, [6, -7, 0, 1])) == (2, 1)
-        assert descartes_bound(poly(RATIONALS, [1, 1])) == (0, 1)
-        assert descartes_bound(poly(RATIONALS, [1, -2, 1])) == (2, 0)
+        def bound(coeffs):
+            bounds = descartes(poly(RATIONALS, coeffs)).bounds
+            return bounds.get(1, 0), bounds.get(-1, 0)
+
+        assert bound([6, -7, 0, 1]) == (2, 1)
+        assert bound([1, 1]) == (0, 1)
+        assert bound([1, -2, 1]) == (2, 0)
 
 
 class TestSturmOracle:
     def test_known_root_counts(self):
         # roots 1, 2, -3
-        assert count_positive_roots(poly(RATIONALS, [6, -7, 0, 1])) == 2
+        assert count_roots_by_sign(poly(RATIONALS, [6, -7, 0, 1]))[1] == 2
         # (T-1)^2 (T+1)
-        assert count_positive_roots(poly(RATIONALS, [1, -1, -1, 1])) == 2
-        assert count_positive_roots(poly(RATIONALS, [1, 0, 1])) == 0
+        assert count_roots_by_sign(poly(RATIONALS, [1, -1, -1, 1]))[1] == 2
+        assert count_roots_by_sign(poly(RATIONALS, [1, 0, 1]))[1] == 0
 
     def test_negative_side(self):
-        assert count_negative_roots(poly(RATIONALS, [6, -7, 0, 1])) == 1
-        assert count_negative_roots(poly(RATIONALS, [1, -1, -1, 1])) == 1
+        assert count_roots_by_sign(poly(RATIONALS, [6, -7, 0, 1]))[-1] == 1
+        assert count_roots_by_sign(poly(RATIONALS, [1, -1, -1, 1]))[-1] == 1
 
     def test_roots_at_zero_are_excluded(self):
         # T^2 (T - 1)
         p = poly(RATIONALS, [0, 0, -1, 1])
-        assert count_positive_roots(p) == 1
-        assert count_negative_roots(p) == 0
-        assert zero_root_order(p) == 2
+        assert count_roots_by_sign(p) == {1: 1, -1: 0, 0: 2}
 
     def test_counts_by_construction(self):
         rng = random.Random(11)
@@ -116,8 +137,9 @@ class TestSturmOracle:
             deg = rng.randint(1, 6)
             roots = [rng.choice(pool) for _ in range(deg)]
             p = poly(RATIONALS, ratpoly.expand_roots(roots, Fraction(1)))
-            assert count_positive_roots(p) == sum(1 for r in roots if r > 0)
-            assert count_negative_roots(p) == sum(1 for r in roots if r < 0)
+            counts = count_roots_by_sign(p)
+            assert counts[1] == sum(1 for r in roots if r > 0)
+            assert counts[-1] == sum(1 for r in roots if r < 0)
 
     def test_full_line_consistency_per_squarefree_factor(self):
         rng = random.Random(13)
@@ -132,9 +154,8 @@ class TestSturmOracle:
             while stripped and stripped[0] == 0:
                 stripped.pop(0)
             for f, _ in ratpoly.yun_squarefree(stripped):
-                pos = ratpoly.count_distinct_positive_roots(f)
-                neg = ratpoly.count_distinct_negative_roots(f)
-                assert pos + neg == ratpoly.count_distinct_real_roots(f)
+                assert ratpoly.count_distinct_roots_by_sign(f) == \
+                    sympy_sign_counts(f, distinct=True)
 
     def test_yun_recovers_multiplicity_structure(self):
         # (T-1)^2 (T+1) (T-1/2)^3
@@ -151,35 +172,50 @@ class TestSturmOracle:
 class TestVerifyDescartes:
     def test_equality_on_certified_split(self):
         p = poly(RATIONALS, [6, -7, 0, 1])
-        report = verify_descartes(p, split_hint=[1, 2, -3])
+        report = descartes(p, [1, 2, -3])
         assert report.ok and report.split_certified
-        assert report.bound_pos == report.positive_roots == 2
-        assert report.bound_neg == report.negative_roots == 1
+        assert report.bounds[1] == report.counts[1] == 2
+        assert report.bounds[-1] == report.counts[-1] == 1
 
     def test_inequality_without_hint(self):
         # (T-1)^2 (T^2+1): two positive roots against a bound of four
         coeffs = ratpoly.mul(ratpoly.expand_roots([Fraction(1), Fraction(1)]),
                              [Fraction(1), Fraction(0), Fraction(1)])
-        report = verify_descartes(poly(RATIONALS, coeffs))
+        report = descartes(poly(RATIONALS, coeffs))
         assert report.ok
-        assert report.positive_roots == 2
-        assert report.bound_pos == 4
+        assert report.counts[1] == 2
+        assert report.bounds[1] == 4
 
     def test_no_real_roots(self):
-        report = verify_descartes(poly(RATIONALS, [1, 1, 1]))
-        assert report.ok and report.positive_roots == 0 and report.bound_pos == 0
+        report = descartes(poly(RATIONALS, [1, 1, 1]))
+        assert report.ok and report.counts.get(1, 0) == 0 and report.bounds.get(1, 0) == 0
 
     def test_bad_hint_rejected(self):
         with pytest.raises(DomainError):
-            verify_descartes(poly(RATIONALS, [6, -7, 0, 1]), split_hint=[1, 2, 3])
+            descartes(poly(RATIONALS, [6, -7, 0, 1]), [1, 2, 3])
 
     def test_split_corpus_reaches_equality(self):
-        reports = verify_descartes_batch(count=60, seed=5)
+        reports = [descartes(p, roots) for p, roots in split_poly_corpus(60, seed=5)]
         assert len(reports) == 60
         assert all(r.ok for r in reports)
-        assert all(r.bound_pos == r.positive_roots for r in reports)
+        assert all(r.bounds.get(1, 0) == r.counts.get(1, 0) for r in reports)
 
     def test_corpus_is_deterministic(self):
         a = [(str(p.values()), roots) for p, roots in split_poly_corpus(20, seed=9)]
         b = [(str(p.values()), roots) for p, roots in split_poly_corpus(20, seed=9)]
         assert a == b
+
+
+# random rational coefficients; f * g^2 with deg f <= 4 and deg g <= 2 keeps
+# the degree at most 8 and gives Yun repeated factors to find
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_coeff_lists = st.lists(_rationals, min_size=1, max_size=5)
+
+
+class TestSympyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(f=_coeff_lists.filter(lambda c: c[-1] != 0 and len(c) >= 2),
+           g=st.lists(_rationals, min_size=1, max_size=3).filter(lambda c: c[-1] != 0))
+    def test_counter_matches_sympy_real_roots(self, f, g):
+        coeffs = ratpoly.mul(ratpoly.mul(f, g), g)
+        assert count_roots_by_sign(poly(RATIONALS, coeffs)) == sympy_sign_counts(coeffs)

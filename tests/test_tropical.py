@@ -1,5 +1,5 @@
 """Newton polygons, tropical factorization, functional equivalence, and the
-polygon rule against p-adic valuations."""
+polygon rule against p-adic valuations under the pushforward harness."""
 
 import itertools
 import random
@@ -20,15 +20,16 @@ from hyperpoly import (
     mult_tropical,
     multiplicity,
     newton_polygon,
-    newton_rule_verify,
-    newton_verify_batch,
     nu,
+    padic_hom,
     padic_valuation,
     poly,
     tropical_roots,
     tropical_roundtrip_batch,
+    verify_pushforward,
     witness_chain_valid,
 )
+from hyperpoly.pushforward import DEFAULT_PADIC_ROOT_POOL, split_poly_corpus
 from hyperpoly.tropical_newton import _t_add, random_root_multisets
 
 RATIONALS = RationalField()
@@ -296,23 +297,34 @@ class TestMultTropical:
                 assert witness_chain_valid(p, rep)
 
 
+def newton_rule_verify(p, prime, split_hint=None):
+    return verify_pushforward(padic_hom(prime), p, split_hint)
+
+
+def slope_table(report) -> dict:
+    """slope -> (segment length, hint roots of that valuation or None)."""
+    counts = report.counts
+    return {str(s): (report.bounds.get(s, 0), None if counts is None else counts.get(s, 0))
+            for s in set(report.bounds) | set(counts or ())}
+
+
 class TestNewtonRule:
     def test_split_cubic_prime_two(self):
         p = poly(RATIONALS, [-8, 14, -7, 1])  # (T-1)(T-2)(T-4)
         report = newton_rule_verify(p, 2, split_hint=[1, 2, 4])
         assert report.ok and report.split_certified
-        table = {(str(r.slope)): (r.nu, r.root_count) for r in report.rows}
+        table = slope_table(report)
         assert table == {"2": (1, 1), "1": (1, 1), "0": (1, 1)}
 
     def test_irrational_roots_inequality_branch(self):
         report = newton_rule_verify(poly(RATIONALS, [-2, 0, 1]), 2)
         assert report.ok and not report.split_certified
-        assert [(str(r.slope), r.nu) for r in report.rows] == [("1/2", 2)]
+        assert [(str(s), nu) for s, nu in report.bounds.items()] == [("1/2", 2)]
 
     def test_trivial_linear(self):
         report = newton_rule_verify(poly(RATIONALS, [1, 1]), 3, split_hint=[-1])
         assert report.ok
-        assert [(str(r.slope), r.nu, r.root_count) for r in report.rows] == \
+        assert [(s, nu, cnt) for s, (nu, cnt) in slope_table(report).items()] == \
             [("0", 1, 1)]
 
     def test_zero_roots_live_on_the_inf_prefix(self):
@@ -320,7 +332,7 @@ class TestNewtonRule:
         p = poly(RATIONALS, [0, 0, -2, 1])
         report = newton_rule_verify(p, 2, split_hint=[0, 0, 2])
         assert report.ok
-        table = {str(r.slope): (r.nu, r.root_count) for r in report.rows}
+        table = slope_table(report)
         assert table["inf"] == (2, 2)
         assert table["1"] == (1, 1)
 
@@ -330,12 +342,15 @@ class TestNewtonRule:
                                split_hint=[1, 2, 5])
 
     def test_batch_equality(self):
-        reports = newton_verify_batch(count=30, seed=1)
+        reports = [newton_rule_verify(q, prime, split_hint=roots)
+                   for q, roots in split_poly_corpus(30, seed=1,
+                                                     root_pool=DEFAULT_PADIC_ROOT_POOL)
+                   for prime in (2, 3)]
         assert len(reports) == 60  # two primes per polynomial
         assert all(r.ok for r in reports)
 
     def test_valuations_match_padic_map(self):
         p = poly(RATIONALS, [-8, 14, -7, 1])
         report = newton_rule_verify(p, 2)
-        assert report.valuation_poly.values() == tuple(
+        assert report.image.values() == tuple(
             padic_valuation(c, 2).value for c in (-8, 14, -7, 1))
