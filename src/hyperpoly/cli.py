@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import pushforward as pf
 from . import tropical_newton as tn
@@ -35,6 +36,7 @@ from .polynomial import (
     parse_poly,
     poly_sort_key,
     quotients,
+    split_parts,
 )
 
 
@@ -148,7 +150,7 @@ def _cmd_quotients(args) -> int:
 def _parse_hint(text):
     if text is None:
         return None
-    return [RATIONALS.parse_value(part) for part in text.split(",") if part.strip()]
+    return [RATIONALS.parse_value(part) for part in split_parts(text)]
 
 
 def _cmd_descartes(args) -> int:
@@ -230,12 +232,10 @@ def _cmd_hyperprod(args) -> int:
     if not F.is_finite():
         raise DomainError(f"hyperprod cannot enumerate over {F.name}")
     factors = []
-    for part in args.polys.split(";"):
-        part = part.strip()
+    for part in split_parts(args.polys, ";"):
         if part.startswith("(") and part.endswith(")"):
             part = part[1:-1]
-        if part:
-            factors.append(parse_poly(F, part))
+        factors.append(parse_poly(F, part))
     result = hyper_product(factors, association=args.assoc)
     ordered = sorted(result, key=poly_sort_key)
     payload = {
@@ -365,11 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

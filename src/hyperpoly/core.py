@@ -305,18 +305,6 @@ class Hyperfield:
             raise DomainError(f"{self.name}: zero has no multiplicative inverse")
         return Element(self, self.inv_value(a.value))
 
-    def add_set(self, s: HyperSet, c: Element) -> HyperSet:
-        self.check_member(c)
-        if s.field is not self:
-            raise DomainError("hyperset belongs to a different instance")
-        return self.add_set_value(s, c.value)
-
-    def scale_set(self, a: Element, s: HyperSet) -> HyperSet:
-        self.check_member(a)
-        if a.value == self.zero_value():
-            return FiniteSet(self, frozenset({self.zero_value()}))
-        return self.scale_set_value(a.value, s)
-
     def hypersum(self, terms: Sequence[Element]) -> HyperSet:
         """n-ary hypersum, the union over all partial-sum choices.
 

@@ -25,7 +25,6 @@ from .core import (
     ParseError,
     PhaseUnion,
     TropicalRay,
-    check_axioms,
 )
 
 
@@ -138,6 +137,15 @@ class PrimeField(Hyperfield):
             return int(text.strip()) % self.p
         except ValueError:
             raise ParseError(f"cannot parse residue {text!r}") from None
+
+
+# one live instance per prime field and per quotient; entries die with it
+_LIVE_INSTANCES = weakref.WeakValueDictionary()
+
+
+def _prime_field(p: int) -> PrimeField:
+    """F_p, shared with every other live user of the same prime."""
+    return _LIVE_INSTANCES.setdefault(("Fp", p), PrimeField(p))
 
 
 # -- small hyperfields given by rule tables -----------------------------------
@@ -531,9 +539,6 @@ PHASE = PhaseHyperfield()
 
 QUOTIENT_PRIME_BOUND = 101
 
-# one live instance per (p, subgroup); entries vanish with their instance
-_QUOTIENTS = weakref.WeakValueDictionary()
-
 
 class QuotientHyperfield(FiniteHyperfield):
     """The quotient of a prime field by a multiplicative subgroup.
@@ -543,11 +548,12 @@ class QuotientHyperfield(FiniteHyperfield):
     time.
     """
 
-    def __init__(self, p: int, generators, bound: int = QUOTIENT_PRIME_BOUND):
+    def __init__(self, p: int, generators):
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        if p > bound:
-            raise DomainError(f"quotient base prime {p} exceeds bound {bound}")
+        if p > QUOTIENT_PRIME_BOUND:
+            raise DomainError(f"quotient base prime {p} exceeds bound "
+                              f"{QUOTIENT_PRIME_BOUND}")
         gens = [g % p for g in generators]
         if any(g == 0 for g in gens):
             raise DomainError("subgroup generators must be nonzero mod p")
@@ -592,25 +598,17 @@ class QuotientHyperfield(FiniteHyperfield):
         return Element(self, self.coset_of[residue % self.p])
 
 
-def build_quotient(p: int, generators, bound: int = QUOTIENT_PRIME_BOUND,
-                   check: bool = True) -> QuotientHyperfield:
+def build_quotient(p: int, generators) -> QuotientHyperfield:
     """Build F_p modulo the subgroup generated by ``generators``.
 
     Generator lists that close to the same subgroup give the same instance
     for as long as one is alive elsewhere, so their elements can be mixed;
-    nothing keeps an instance alive beyond its last user.  The result always
-    satisfies the hyperfield axioms; by default this is verified at every
-    call as a guard against table bugs (callers that immediately re-run the
-    checker can pass ``check=False``).
+    nothing keeps an instance alive beyond its last user.  Such a quotient
+    is always a hyperfield, so its axioms are checked only on request, by
+    :func:`check_axioms`.
     """
-    q = QuotientHyperfield(p, generators, bound)
-    q = _QUOTIENTS.setdefault((p, q.subgroup), q)
-    if check:
-        report = check_axioms(q)
-        if not report.passed:
-            failing = ", ".join(c.axiom for c in report.failing())
-            raise DomainError(f"quotient {q.name} violates axioms: {failing}")
-    return q
+    q = QuotientHyperfield(p, generators)
+    return _LIVE_INSTANCES.setdefault(("quot", p, q.subgroup), q)
 
 
 def _multiplicative_order(F: FiniteHyperfield, x) -> int:
@@ -745,8 +743,7 @@ def padic_hom(p: int) -> Homomorphism:
 
 
 def quotient_projection(q: QuotientHyperfield) -> Homomorphism:
-    Fp = PrimeField(q.p)
-    return Homomorphism(Fp, q, lambda x: q.project(x.value),
+    return Homomorphism(_prime_field(q.p), q, lambda x: q.project(x.value),
                         f"project:{q.name}")
 
 
@@ -801,8 +798,8 @@ def parse_field(spec: str) -> Hyperfield:
 
     Known forms: ``Q``, ``Fp:<p>``, ``S``, ``K``, ``W``, ``P``, ``T``,
     ``quot:<p>:<g1,g2,...>``.  The named forms return the module singletons
-    (``parse_field("S") is SIGN``) and quotients come from
-    :func:`build_quotient`; ``Fp:<p>`` builds a new instance.
+    (``parse_field("S") is SIGN``); ``Fp:<p>`` and quotients share one live
+    instance per prime and per subgroup.  Nothing is verified beyond the spec.
     """
     spec = spec.strip()
     named = {"Q": RATIONALS, "S": SIGN, "K": KRASNER, "W": WEAK_SIGN,
@@ -815,7 +812,7 @@ def parse_field(spec: str) -> Hyperfield:
         except ValueError:
             raise ParseError(f"bad prime in field spec {spec!r}") from None
         try:
-            return PrimeField(p)
+            return _prime_field(p)
         except DomainError as exc:
             raise ParseError(str(exc)) from None
     if spec.startswith("quot:"):

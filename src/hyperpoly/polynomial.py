@@ -71,6 +71,14 @@ def format_poly(p: Poly) -> str:
     return ",".join(p.field.format_value(c.value) for c in p.coeffs)
 
 
+def split_parts(text: str, sep: str = ",") -> list[str]:
+    """The stripped parts of a ``sep``-separated list; an empty part is an error."""
+    parts = [s.strip() for s in text.split(sep)]
+    if "" in parts:
+        raise ParseError(f"empty entry in {text!r}")
+    return parts
+
+
 def parse_poly(field: Hyperfield, text: str) -> Poly:
     """Parse the comma-separated ascending coefficient format.
 
@@ -80,10 +88,7 @@ def parse_poly(field: Hyperfield, text: str) -> Poly:
     text = text.strip()
     if text == "0" and field.parse_value("0") == field.zero_value():
         return Poly(field, ())
-    parts = [s for s in text.split(",") if s.strip()]
-    if not parts:
-        raise ParseError("empty polynomial string")
-    values = [field.parse_value(s) for s in parts]
+    values = [field.parse_value(s) for s in split_parts(text)]
     p = poly(field, values)
     if len(p.coeffs) != len(values):
         warnings.warn("trailing zero coefficients stripped from polynomial input",

@@ -93,7 +93,7 @@ def test_criterion_02_sign_rule_exhaustive_degree_six():
 
 def test_criterion_03_root_iff_quotient_exhaustive():
     t0 = time.perf_counter()
-    fields = [SIGN, KRASNER, WEAK_SIGN, build_quotient(7, [2], check=False)]
+    fields = [SIGN, KRASNER, WEAK_SIGN, build_quotient(7, [2])]
     checked = 0
     for F in fields:
         values = F.carrier_values()
@@ -248,12 +248,12 @@ def test_criterion_12_axiom_suite():
         order = p - 1 if p > 2 else 1
         for d in [d for d in range(1, order + 1) if order % d == 0]:
             gen = pow(g, order // d, p) if p > 2 else 1
-            q = build_quotient(p, [gen], check=False)
+            q = build_quotient(p, [gen])
             rep = check_axioms(q)
             assert rep.passed, (q.name, [c.axiom for c in rep.failing()])
             quotient_count += 1
 
-    assert iso_to_named(build_quotient(7, [2], check=False), WEAK_SIGN) is not None
+    assert iso_to_named(build_quotient(7, [2]), WEAK_SIGN) is not None
 
     bad_add = dict(SIGN.add_table)
     bad_add[(1, 1)] = frozenset({-1})

@@ -5,10 +5,11 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
-from hyperpoly import parse_field, parse_poly, pushforward
+from hyperpoly import core, parse_field, parse_poly, pushforward
 from hyperpoly.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -120,6 +121,23 @@ class TestVerbs:
         assert code == 0
         assert "reversibility: pass" in out
 
+    def test_axioms_checks_once(self, capsys, monkeypatch):
+        calls = []
+        real = core.check_axioms
+
+        def counted(F):
+            calls.append(F.name)
+            return real(F)
+
+        # patch every module that binds the checker, as the verb's callees may
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("hyperpoly")
+                    and getattr(module, "check_axioms", None) is real):
+                monkeypatch.setattr(module, "check_axioms", counted)
+        code, _, _ = run(capsys, "axioms", "--field", "quot:7:2")
+        assert code == 0
+        assert calls == ["quot:7:1,2,4"]
+
     def test_verify_batches(self, capsys):
         for what, cases in (("descartes", "25"), ("newton", "10"),
                             ("tropical", "40")):
@@ -210,6 +228,26 @@ class TestExitCodes:
         assert err[0].startswith("usage: hyperpoly verify ")
         assert err[-1] == ("hyperpoly verify: error: argument --cases: "
                            f"must be at least 1, got {cases}")
+
+    @pytest.mark.parametrize("argv,text", [
+        (("mult", "--field", "S", "--poly", "1,,-1", "--at", "1"), "1,,-1"),
+        (("mult", "--field", "S", "--poly", "1,-1,", "--at", "1"), "1,-1,"),
+        (("descartes", "--poly=-2,1", "--roots", "2,,"), "2,,"),
+        (("hyperprod", "--field", "S", "--polys", "(1,1);;(1,-1)"),
+         "(1,1);;(1,-1)"),
+    ], ids=["poly-inner", "poly-trailing", "roots", "hyperprod"])
+    def test_empty_list_entry_is_two(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: empty entry in {text!r}\n"
+
+    def test_trailing_zero_warning_is_one_line(self, capsys):
+        code, out, err = run(capsys, "mult", "--field", "S", "--poly", "1,1,0",
+                             "--at", "1")
+        assert (code, out) == run(capsys, "mult", "--field", "S", "--poly",
+                                  "1,1", "--at", "1")[:2]
+        assert err == ("warning: trailing zero coefficients stripped "
+                       "from polynomial input\n")
 
     def test_deep_association_tree_is_two(self, capsys):
         tree = "(" * 1100 + "1" + " 2)" * 1100

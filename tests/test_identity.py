@@ -28,9 +28,10 @@ from hyperpoly import (
     newton_polygon,
     parse_field,
     poly,
+    quotient_projection,
     sign_hyperfield,
 )
-from hyperpoly.instances import _QUOTIENTS
+from hyperpoly.instances import _LIVE_INSTANCES
 from hyperpoly.polynomial import ASSOC_MAX_DEPTH, parse_assoc
 
 
@@ -70,18 +71,26 @@ class TestInterning:
             assert parse_field(spec) is field
 
     def test_quotients_share_one_live_instance(self):
-        q = build_quotient(7, [2], check=False)
+        q = build_quotient(7, [2])
         assert parse_field("quot:7:4") is q
-        assert build_quotient(7, [2, 4], check=False) is q
-        assert build_quotient(7, [3], check=False) is not q
+        assert build_quotient(7, [2, 4]) is q
+        assert build_quotient(7, [3]) is not q
         # elements of one parse are accepted by the next
         s = parse_field("quot:7:1,2,4").hyperadd(q.one(), q.one())
         assert s.contains(q.one())
 
+    def test_prime_fields_share_one_live_instance(self):
+        F = parse_field("Fp:7")
+        assert parse_field("Fp:7") is F
+        assert parse_field("Fp:5") is not F
+        s = parse_field("Fp:7").hyperadd(F.element(3), F.element(5))
+        assert [e.value for e in s.enumerate()] == [1]
+        assert quotient_projection(build_quotient(7, [2])).source is F
+
     def test_dead_quotients_are_not_retained(self):
-        name = build_quotient(13, [5], check=False).name
+        name = build_quotient(13, [5]).name
         gc.collect()
-        assert all(v.name != name for v in _QUOTIENTS.values())
+        assert all(v.name != name for v in _LIVE_INSTANCES.values())
 
 
 class TestOwnInstances:

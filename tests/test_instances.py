@@ -15,6 +15,7 @@ from hyperpoly import (
     TROPICAL,
     WEAK_SIGN,
     build_quotient,
+    check_axioms,
     check_homomorphism,
     iso_to_named,
     padic_hom,
@@ -25,7 +26,12 @@ from hyperpoly import (
     sign_hom,
     sign_map,
 )
-from hyperpoly.instances import Homomorphism, table_hom
+from hyperpoly.instances import (
+    QUOTIENT_PRIME_BOUND,
+    Homomorphism,
+    is_prime,
+    table_hom,
+)
 
 
 def ord_by_division(n: int, p: int) -> int:
@@ -68,8 +74,22 @@ class TestQuotients:
     @pytest.mark.parametrize("p", [7, 11, 19, 23, 31])
     def test_squares_quotient_is_weak_sign_for_3_mod_4_primes(self, p):
         squares = sorted({(x * x) % p for x in range(1, p)})
-        q = build_quotient(p, squares, check=False)
+        q = build_quotient(p, squares)
         assert iso_to_named(q, WEAK_SIGN) is not None
+
+    def test_small_index_quotients_satisfy_the_axioms(self):
+        # build_quotient does not check the axioms; this covers its tables
+        checked = 0
+        for p in filter(is_prime, range(QUOTIENT_PRIME_BOUND + 1)):
+            for index in range(1, 9):
+                if (p - 1) % index:
+                    continue
+                q = build_quotient(p, [pow(x, index, p) for x in range(1, p)])
+                assert len(q.carrier_values()) == index + 1
+                report = check_axioms(q)
+                assert report.passed, (q.name, report.failing())
+                checked += 1
+        assert checked == 99
 
     def test_build_rejects_bad_input(self):
         with pytest.raises(DomainError):
@@ -77,16 +97,16 @@ class TestQuotients:
         with pytest.raises(DomainError):
             build_quotient(7, [0])
         with pytest.raises(DomainError):
-            build_quotient(103, [1])  # over the default prime bound
+            build_quotient(103, [1])  # over QUOTIENT_PRIME_BOUND
 
     def test_subgroup_closure_from_any_generator_set(self):
-        q1 = build_quotient(7, [2], check=False)
-        q2 = build_quotient(7, [2, 4], check=False)
+        q1 = build_quotient(7, [2])
+        q2 = build_quotient(7, [2, 4])
         assert q1.name == q2.name == "quot:7:1,2,4"
         assert q1 == q2
 
     def test_cosets_partition_units(self):
-        q = build_quotient(13, [3], check=False)
+        q = build_quotient(13, [3])
         units = set(range(1, 13))
         seen = set()
         for rep, coset in q.cosets.items():
@@ -97,7 +117,7 @@ class TestQuotients:
         assert seen == units
 
     def test_projection_is_a_homomorphism(self):
-        q = build_quotient(7, [2], check=False)
+        q = build_quotient(7, [2])
         report = check_homomorphism(quotient_projection(q))
         assert report.passed
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     FiniteSet,
@@ -114,6 +116,18 @@ class TestCanonicalization:
         for q in SAMPLE_ANGLES:
             assert s.contains(angle(q))
         assert s.contains(PHASE.zero())
+
+    @settings(deadline=None)
+    @given(st.sampled_from(PHASE.sample_values()),
+           st.sampled_from(PHASE.sample_values()),
+           st.sampled_from(PHASE.sample_values()))
+    def test_canonical_form_is_idempotent(self, x, y, c):
+        s = PHASE.hyperadd_values(x, y)
+        for union in (s, PHASE.add_set_value(s, c)):
+            if isinstance(union, PhaseUnion):
+                again = phase_canonical(PHASE, union.has_zero, union.arcs,
+                                        union.points)
+                assert again == union
 
     def test_pointless_input_collapses_to_finite_set(self):
         s = phase_canonical(PHASE, True, [], [Fraction(1, 3)])

@@ -87,3 +87,23 @@ def test_raw_search_matches_element_reference(field):
             assert witness_chain_valid(p, report)
 
     check()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_multiplicity_is_invariant_under_scaling(field):
+    """mult_a(p) = mult_1(p(aT)): T -> aT is an automorphism of F[T]."""
+    one = field.one_value()
+    units = [v for v in field.carrier_values() if v != field.zero_value()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(polys(field), st.sampled_from(units))
+    def check(p, a):
+        power = one
+        scaled = []
+        for c in p.values():
+            scaled.append(field.mul_values(c, power))
+            power = field.mul_values(power, a)
+        assert (multiplicity(p, field.element(a)).multiplicity
+                == multiplicity(poly(field, scaled), field.one()).multiplicity)
+
+    check()
