@@ -28,14 +28,23 @@ from .core import (
 )
 
 
+# Miller-Rabin over the first 13 prime bases is exact below this bound
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; larger ``n`` raise :class:`DomainError`."""
+    if n >= PRIMALITY_LIMIT:
+        raise DomainError(f"{n} is too large: primality is decided only "
+                          f"below {PRIMALITY_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _WITNESS_BASES):
+        return n in _WITNESS_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for b in _WITNESS_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -549,11 +558,11 @@ class QuotientHyperfield(FiniteHyperfield):
     """
 
     def __init__(self, p: int, generators):
+        if p > QUOTIENT_PRIME_BOUND:
+            raise DomainError(f"quotient base {p} exceeds bound "
+                              f"{QUOTIENT_PRIME_BOUND}")
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        if p > QUOTIENT_PRIME_BOUND:
-            raise DomainError(f"quotient base prime {p} exceeds bound "
-                              f"{QUOTIENT_PRIME_BOUND}")
         gens = [g % p for g in generators]
         if any(g == 0 for g in gens):
             raise DomainError("subgroup generators must be nonzero mod p")
@@ -811,10 +820,9 @@ def parse_field(spec: str) -> Hyperfield:
             p = int(spec[3:])
         except ValueError:
             raise ParseError(f"bad prime in field spec {spec!r}") from None
-        try:
-            return _prime_field(p)
-        except DomainError as exc:
-            raise ParseError(str(exc)) from None
+        if not is_prime(p):  # above PRIMALITY_LIMIT this is a DomainError
+            raise ParseError(f"{p} is not prime")
+        return _prime_field(p)
     if spec.startswith("quot:"):
         parts = spec.split(":")
         if len(parts) != 3:

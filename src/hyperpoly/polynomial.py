@@ -126,10 +126,16 @@ def linear_poly(field: Hyperfield, a: Element) -> Poly:
     return poly_from_elements(field, (field.neg(a), field.one()))
 
 
-def _quotients_raw(F: Hyperfield, c: tuple, a) -> list:
+def _quotients_raw(F: Hyperfield, c: tuple, a, step: dict) -> list:
     """Raw coefficient tuples of all q with c in (T - a) q, in canonical order.
 
     ``c`` is a normalized nonzero coefficient tuple and ``a`` a raw value.
+    Reversibility turns membership into d_{n-1} = c_n, d_{i-1} in c_i + a*d_i
+    and c_0 = -a*d_0.  A forward pass from c_n finds the reachable d_i per
+    layer and the edges d_i -> d_{i-1}; the walk starts from the reachable
+    d_0 with -a*d_0 = c_0 and extends upward along the edges in sort order.
+    Every partial chain completes, and the chains come out in canonical
+    order.  ``step`` caches ``(c_i, d)`` -> sorted c_i + a*d for one F and a.
     """
     n = len(c) - 1
     if n == 0:
@@ -140,29 +146,36 @@ def _quotients_raw(F: Hyperfield, c: tuple, a) -> list:
     if not F.enumerable_sums:
         raise NonEnumerableError(
             f"{F.name}: quotient enumeration needs finite hypersums")
-    chains = [(c[n],)]  # chains grow as (d_{n-1}, ..., d_i)
+    layer = [c[n]]  # the reachable d_i, sorted
+    ups = []  # per layer, d_{i-1} -> the sorted d_i it is reached from
     for i in range(n - 1, 0, -1):
-        ci = c[i]
-        chains = [chain + (d,) for chain in chains
-                  for d in F.hyperadd_values(ci, F.mul_values(a, chain[-1])).values]
-    found = {chain[::-1] for chain in chains
-             if F.neg_value(F.mul_values(a, chain[-1])) == c[0]}
-    return sorted(found, key=lambda q: tuple(map(F.sort_key, q)))
+        up = {}
+        for d in layer:
+            nxt = step.get((c[i], d))
+            if nxt is None:
+                nxt = step[(c[i], d)] = sorted(
+                    F.hyperadd_values(c[i], F.mul_values(a, d)).values, key=F.sort_key)
+            for e in nxt:
+                up.setdefault(e, []).append(d)
+        ups.append(up)
+        layer = sorted(up, key=F.sort_key)
+    chains = [(d,) for d in layer if F.neg_value(F.mul_values(a, d)) == c[0]]
+    for up in reversed(ups):
+        chains = [chain + (d,) for chain in chains for d in up[chain[-1]]]
+    return chains
 
 
 def quotients(p: Poly, a: Element) -> tuple:
-    """All q with p in (T - a) q, via the backward recursion.
+    """All q with p in (T - a) q, in canonical order (see :func:`_quotients_raw`).
 
-    Starting from d_{n-1} = c_n, each d_{i-1} ranges over c_i + a*d_i
-    (reversibility turns the divisibility constraints into this form), and a
-    chain survives iff c_0 = -a*d_0.  Requires finitely enumerable hypersums;
-    for a = 0 the single candidate d_i = c_{i+1} works over any instance.
+    Requires finitely enumerable hypersums; for a = 0 the single candidate
+    d_i = c_{i+1} works over any instance.
     """
     F = p.field
     F.check_member(a)
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    return tuple(poly(F, q) for q in _quotients_raw(F, p.values(), a.value))
+    return tuple(poly(F, q) for q in _quotients_raw(F, p.values(), a.value, {}))
 
 
 def divides_with_quotient(p: Poly, a: Element, q: Poly) -> bool:
@@ -211,7 +224,9 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     The zero element is handled directly (the unique-quotient chain strips the
     lowest coefficient), the instance's ``rule_multiplicity`` may answer by a
     closed form (the Newton polygon over ``T``), and other instances without
-    enumerable hypersums are rejected.  The search runs on raw values.
+    enumerable hypersums are rejected.  The search runs on raw values.  The
+    witness takes the first quotient in canonical order that attains the
+    maximum; the scan stops once that meets the bound deg - ord_0.
     ``memo`` may be shared across calls; its keys hold the instance.
     """
     F = p.field
@@ -232,17 +247,22 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     if memo is None:
         memo = {}
     av = a.value
+    step = {}
 
     def rec(q: tuple):
         key = (F, q, av)
         hit = memo.get(key)
         if hit is not None:
             return hit
+        # mult_a(q) <= deg q - ord_0 q, by the morphism to K
+        bound = len(q) - 1 - next(i for i, v in enumerate(q) if v != zero)
         best = (0, ())
-        for cand in _quotients_raw(F, q, av):
+        for cand in _quotients_raw(F, q, av, step):
             m, chain = rec(cand)
             if m + 1 > best[0]:
                 best = (m + 1, (cand,) + chain)
+                if best[0] == bound:
+                    break
         memo[key] = best
         return best
 

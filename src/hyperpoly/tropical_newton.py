@@ -134,12 +134,6 @@ class TropicalRootMultiset:
         s = _value_of(s)
         return sum(1 for v in self.values if v == s or (v is INF and s is INF))
 
-    def remove_one(self, s) -> "TropicalRootMultiset":
-        s = _value_of(s)
-        vals = list(self.values)
-        vals.remove(s)
-        return TropicalRootMultiset(tuple(vals))
-
     def __repr__(self) -> str:
         return "{" + ", ".join(TROPICAL.format_value(v) for v in self.values) + "}"
 

@@ -11,6 +11,7 @@ import pytest
 
 from hyperpoly import core, parse_field, parse_poly, pushforward
 from hyperpoly.cli import main
+from hyperpoly.instances import PRIMALITY_LIMIT
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -241,6 +242,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"parse error: empty entry in {text!r}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("mult", "--field", "Fp:1000000000000000003", "--poly", "1,1", "--at", "1"),
+        ("newton", "--field", "Q", "--poly=-2,0,1", "--prime", "1000000000000000003"),
+    ], ids=["Fp", "newton-prime"])
+    def test_large_prime_answers(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("mult", "--field", f"Fp:{PRIMALITY_LIMIT}", "--poly", "1,1", "--at", "1"),
+        ("newton", "--field", "Q", "--poly=-2,0,1", "--prime", str(PRIMALITY_LIMIT)),
+    ], ids=["Fp", "newton-prime"])
+    def test_prime_above_the_primality_limit_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == (
+            f"error: {PRIMALITY_LIMIT} is too large: primality is decided "
+            f"only below {PRIMALITY_LIMIT}")
+
     def test_trailing_zero_warning_is_one_line(self, capsys):
         code, out, err = run(capsys, "mult", "--field", "S", "--poly", "1,1,0",
                              "--at", "1")
@@ -266,6 +286,10 @@ class TestOutputStability:
         ("mult_example.json",
          ["mult", "--field", "S", "--poly", "1,-1,-1,1", "--at", "1",
           "--format", "json"]),
+        # degree 12, multiplicity 8: a deep search with many tied quotients
+        ("mult_deep_S.json",
+         ["mult", "--field", "S", "--poly=-1,1,1,1,0,-1,0,1,1,1,0,-1,-1",
+          "--at=-1", "--format", "json"]),
     ])
     def test_golden_json(self, capsys, name, argv):
         code, out, _ = run(capsys, *argv)

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     INF,
@@ -27,6 +30,7 @@ from hyperpoly import (
     sign_map,
 )
 from hyperpoly.instances import (
+    PRIMALITY_LIMIT,
     QUOTIENT_PRIME_BOUND,
     Homomorphism,
     is_prime,
@@ -42,6 +46,39 @@ def ord_by_division(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
+
+
+def prime_by_division(n: int) -> bool:
+    """Independent oracle: trial division up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [n for n in range(-2, 10 ** 5) if is_prime(n)] == \
+            [n for n in range(-2, 10 ** 5) if prime_by_division(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=10 ** 5, max_value=PRIMALITY_LIMIT - 1))
+    def test_agrees_with_sympy_on_large_n(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the primes up to 23
+        318665857834031151167461,  # strong pseudoprime to the primes up to 37
+    ])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(1000000000000000003)
+        assert is_prime(2 ** 61 - 1) and is_prime(2 ** 79 - 67)
+
+    def test_refuses_above_the_limit(self):
+        assert not is_prime(PRIMALITY_LIMIT - 1)
+        with pytest.raises(DomainError, match=f"only below {PRIMALITY_LIMIT}"):
+            is_prime(PRIMALITY_LIMIT)
 
 
 class TestQuotients:

@@ -1,10 +1,12 @@
-"""The raw-value multiplicity search against an element-level reference.
+"""The multiplicity search against two references.
 
-The reference below is the element-level quotient enumeration and recursion
-that the library used before its search moved to raw values: every step goes
-through ``hyperadd``, ``mul`` and ``neg`` on checked elements.  The property
-asks the raw search for the same quotients, the same multiplicity and a
-witness chain that replays through the divisibility predicate.
+The element-level reference is the quotient enumeration and recursion that
+the library used before its search moved to raw values: every step goes
+through ``hyperadd``, ``mul`` and ``neg`` on checked elements.  The raw
+reference builds every chain down from c_n, filters at c_0 and sorts, as the
+raw search did before it walked only the surviving chains; its recursion has
+no early exit.  The properties ask the search for the same quotients in the
+same order, the same multiplicity and the same witness chain.
 """
 
 import pytest
@@ -22,7 +24,7 @@ from hyperpoly import (
     quotients,
     witness_chain_valid,
 )
-from hyperpoly.polynomial import Poly, poly_sort_key
+from hyperpoly.polynomial import Poly, _quotients_raw, poly_sort_key
 
 # module-level references keep the parsed instances alive for the whole run
 FIELDS = [SIGN, KRASNER, WEAK_SIGN, parse_field("Fp:5"), parse_field("quot:7:2")]
@@ -67,10 +69,45 @@ def reference_multiplicity(p, a) -> int:
     return rec(p)
 
 
+def chain_then_filter_quotients(F, c: tuple, a) -> list:
+    n = len(c) - 1
+    if n == 0:
+        return []
+    zero = F.zero_value()
+    if a == zero:
+        return [c[1:]] if c[0] == zero else []
+    chains = [(c[n],)]  # chains grow as (d_{n-1}, ..., d_i)
+    for i in range(n - 1, 0, -1):
+        ci = c[i]
+        chains = [chain + (d,) for chain in chains
+                  for d in F.hyperadd_values(ci, F.mul_values(a, chain[-1])).values]
+    found = {chain[::-1] for chain in chains
+             if F.neg_value(F.mul_values(a, chain[-1])) == c[0]}
+    return sorted(found, key=lambda q: tuple(map(F.sort_key, q)))
+
+
+def plain_multiplicity(F, c: tuple, a) -> tuple:
+    """(multiplicity, witness): the first quotient attaining the maximum."""
+    memo = {}
+
+    def rec(q):
+        if q not in memo:
+            best = (0, ())
+            for cand in chain_then_filter_quotients(F, q, a):
+                m, chain = rec(cand)
+                if m + 1 > best[0]:
+                    best = (m + 1, (cand,) + chain)
+            memo[q] = best
+        return memo[q]
+
+    return rec(c)
+
+
 @st.composite
-def polys(draw, field):
+def polys(draw, field, max_degree=6):
     values = field.carrier_values()
-    coeffs = draw(st.lists(st.sampled_from(values), min_size=0, max_size=6))
+    coeffs = draw(st.lists(st.sampled_from(values), min_size=0,
+                           max_size=max_degree))
     nonzero = [v for v in values if v != field.zero_value()]
     return poly(field, coeffs + [draw(st.sampled_from(nonzero))])
 
@@ -105,5 +142,35 @@ def test_multiplicity_is_invariant_under_scaling(field):
             power = field.mul_values(power, a)
         assert (multiplicity(p, field.element(a)).multiplicity
                 == multiplicity(poly(field, scaled), field.one()).multiplicity)
+
+    check()
+
+
+WIDE_FIELDS = FIELDS + [parse_field("quot:13:3")]
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.name)
+def test_quotients_match_chain_then_filter(field):
+    @settings(max_examples=60, deadline=None)
+    @given(polys(field, max_degree=7))
+    def check(p):
+        c = p.values()
+        for a in field.carrier_values():
+            assert _quotients_raw(field, c, a, {}) == \
+                chain_then_filter_quotients(field, c, a)
+
+    check()
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.name)
+def test_multiplicity_and_witness_match_plain_recursion(field):
+    @settings(max_examples=30, deadline=None)
+    @given(polys(field, max_degree=7))
+    def check(p):
+        for a in field.elements():
+            report = multiplicity(p, a)
+            m, chain = plain_multiplicity(field, p.values(), a.value)
+            assert report.multiplicity == m
+            assert tuple(q.values() for q in report.witness) == chain
 
     check()
