@@ -331,10 +331,11 @@ class Hyperfield:
 class FiniteHyperfield(Hyperfield):
     """A hyperfield given by explicit multiplication and hyperaddition tables.
 
-    ``add_table`` maps ordered pairs of values to frozensets of values; only
-    one orientation of each pair is required, the other is filled in by
-    commutativity.  The tables are kept accessible so tests can build
-    deliberately broken variants for the axiom checker.
+    ``add_table`` maps ordered pairs of values to frozensets of values and
+    ``mul_table`` maps them to values; in both, one orientation of each pair
+    is enough, and the other is filled in by commutativity.  The tables are
+    kept accessible so tests can build deliberately broken variants for the
+    axiom checker.
     """
 
     def __init__(self, name, values, zero, one, mul_table, add_table):
@@ -420,11 +421,34 @@ class FiniteHyperfield(Hyperfield):
 # -- axiom checking -----------------------------------------------------------
 
 
+def unit_powers(F: Hyperfield) -> list | None:
+    """The powers ``[1, g, g^2, ..., g^(n-1)]`` of a generator ``g`` of the
+    ``n`` units of a finite ``F``, so that ``g^k`` has discrete log ``k``.
+
+    Returns None when no unit has ``n`` distinct nonzero powers ending in
+    ``g^n = 1``.  Each candidate costs at most ``n + 1`` products, so the
+    search is O(n^2) and halts on any table, group or not.
+    """
+    zero, one = F.zero_value(), F.one_value()
+    units = [v for v in F.carrier_values() if v != zero]
+    for g in units:
+        powers, seen, acc = [one], {one}, g
+        while acc != zero and acc not in seen:
+            powers.append(acc)
+            seen.add(acc)
+            acc = F.mul_values(acc, g)
+        if acc == one and len(powers) == len(units):
+            return powers
+    return None
+
+
 @dataclass
 class AxiomCheck:
     axiom: str
     passed: bool
     witness: str | None = None
+    # a reduced check that found no counterexample but lacks its premises
+    skipped: bool = False
 
 
 @dataclass
@@ -439,13 +463,13 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
     def failing(self) -> list:
-        return [c for c in self.checks if not c.passed]
+        return [c for c in self.checks if not (c.passed or c.skipped)]
 
     def lines(self) -> list[str]:
         scope = "exhaustive" if self.exhaustive else "sampled"
         out = [f"axioms {self.field_name} ({scope})"]
         for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
+            status = "pass" if c.passed else "skipped" if c.skipped else "FAIL"
             line = f"  {c.axiom}: {status}"
             if c.witness:
                 line += f"  [{c.witness}]"
@@ -455,47 +479,140 @@ class AxiomReport:
         return out
 
 
+_AXIOMS = ("multiplicative group", "nonempty", "commutativity", "associativity",
+          "neutral element", "unique inverse", "reversibility", "zero absorbs",
+          "distributivity")
+
+# what the reduced finite checks rest on; see check_axioms
+_PREMISES = {
+    "distributivity": ("multiplicative group", "zero absorbs"),
+    "associativity": ("multiplicative group", "zero absorbs", "distributivity",
+                      "neutral element", "commutativity"),
+    "reversibility": ("multiplicative group", "zero absorbs", "distributivity",
+                      "neutral element", "unique inverse"),
+}
+
+
 def check_axioms(F: Hyperfield) -> AxiomReport:
     """Check the hypergroup and hyperfield axioms on ``F``.
 
-    Finite carriers are checked exhaustively.  Infinite instances are checked
-    on their fixed deterministic sample grid, which hits every rule branch of
-    the instances shipped here.  Each check reports a counterexample triple
-    on failure.
+    Infinite instances are checked on their fixed deterministic sample grid,
+    which hits every rule branch of the instances shipped here; every triple
+    of grid values is tried.  Each check reports a counterexample on failure.
+
+    Finite carriers are checked exhaustively in O(n^2) table lookups:
+
+    - ``multiplicative group``: :func:`unit_powers` finds a generator ``g``
+      of the units and the discrete log of each unit, and every product
+      ``x*y`` is compared with ``g^(log x + log y)``.  Passing proves the
+      units a cyclic group: associative, commutative, with inverses.  With
+      no generator, the group laws are checked directly, in cubic time, and
+      a note says the unit group is not cyclic.
+    - ``distributivity`` is checked for ``a`` in ``{0, g}`` only (every
+      unit, without a generator).  If ``x`` and ``y`` distribute, so does
+      ``xy``: ``xy(b+c) = x(yb + yc) = xyb + xyc``, by associativity of the
+      units and ``x*0 = 0``.  So by induction every power of ``g``
+      distributes, and those are all the units.
+    - ``associativity`` and ``reversibility`` are checked with first
+      argument ``1`` only.  For a unit ``a``, put ``b = ab'`` and
+      ``c = ac'``.  Distributivity gives ``b+c = a(b'+c')`` and
+      ``s+a = a(s'+1)``, so both sides of ``a+(b+c) = (a+b)+c`` are ``a``
+      times the sides of ``1+(b'+c') = (1+b')+c'``, and scaling by ``a``
+      is a bijection of the carrier.  Likewise ``a`` lies in ``b+c`` iff
+      ``1`` lies in ``b'+c'``; and ``-(ax) = a(-x)``, since ``0`` lies in
+      ``a(x + -x) = ax + a(-x)`` and inverses are unique, so
+      ``-b in -a+c`` iff ``-b' in -1+c'``.  The case ``a = 0`` follows
+      from the neutral element (with commutativity for ``s+0``) and the
+      unique inverse: both sides of reversibility say ``c = -b``.
+
+    A reduced check that finds a counterexample fails with it, since a
+    counterexample is one whatever else holds.  One that finds none passes
+    only if every premise above passed; otherwise it is reported as
+    skipped, and the report does not pass.
     """
     exhaustive = F.is_finite()
     vals = F.carrier_values() if exhaustive else F.sample_values()
-    zero = F.zero_value()
+    zero, one = F.zero_value(), F.one_value()
+    units = [v for v in vals if v != zero]
     fmt = F.format_value
-    checks = []
+    notes = []
+    powers = unit_powers(F) if exhaustive else None
+    g = powers[1 % len(powers)] if powers else None
+    # the first arguments of the three axioms over triples, reduced as above
+    firsts = [one] if exhaustive else vals
+    scalars = [zero, g] if powers else vals
+    results = {}
+    sums = {}  # each pair's hypersum is used by several checks
+
+    def add(a, b):
+        s = sums.get((a, b))
+        if s is None:
+            s = sums[a, b] = F.hyperadd_values(a, b)
+        return s
 
     def run(axiom, gen):
-        for witness in gen:
-            checks.append(AxiomCheck(axiom, False, witness))
+        witness = next(gen, None)
+        failed = [p for p in _PREMISES.get(axiom, ()) if not results[p].passed]
+        if witness is not None:
+            results[axiom] = AxiomCheck(axiom, False, witness)
+        elif exhaustive and failed:
+            results[axiom] = AxiomCheck(axiom, False, "needs " + ", ".join(failed),
+                                        skipped=True)
+        else:
+            results[axiom] = AxiomCheck(axiom, True)
+
+    def gen_group():
+        if powers is not None:
+            n = len(powers)
+            log = {v: k for k, v in enumerate(powers)}
+            for x, y in itertools.product(units, repeat=2):
+                k = (log[x] + log[y]) % n
+                xy = F.mul_values(x, y)
+                if xy != powers[k]:
+                    yield (f"g={fmt(g)}, x={fmt(x)}, y={fmt(y)}: "
+                           f"x*y = {fmt(xy)}, g^{k} = {fmt(powers[k])}")
             return
-        checks.append(AxiomCheck(axiom, True))
+        for x in units:
+            if F.mul_values(one, x) != x:
+                yield f"x={fmt(x)}: 1*x = {fmt(F.mul_values(one, x))}"
+            try:
+                inverse = F.mul_values(x, F.inv_value(x)) == one
+            except DomainError:
+                inverse = False
+            if not inverse:
+                yield f"x={fmt(x)}: no multiplicative inverse"
+        for x, y in itertools.product(units, repeat=2):
+            xy = F.mul_values(x, y)
+            if xy == zero or xy != F.mul_values(y, x):
+                yield f"x={fmt(x)}, y={fmt(y)}: x*y = {fmt(xy)}"
+        for x, y, z in itertools.product(units, repeat=3):
+            if (F.mul_values(F.mul_values(x, y), z)
+                    != F.mul_values(x, F.mul_values(y, z))):
+                yield f"x={fmt(x)}, y={fmt(y)}, z={fmt(z)}: (xy)z != x(yz)"
+        if exhaustive:
+            notes.append("the unit group is not cyclic")
 
     def gen_nonempty():
         for a, b in itertools.product(vals, repeat=2):
-            s = F.hyperadd_values(a, b)
+            s = add(a, b)
             if isinstance(s, FiniteSet) and not s.values:
                 yield f"a={fmt(a)}, b={fmt(b)}: empty hypersum"
 
     def gen_commutative():
         for a, b in itertools.product(vals, repeat=2):
-            if F.hyperadd_values(a, b) != F.hyperadd_values(b, a):
+            if add(a, b) != add(b, a):
                 yield f"a={fmt(a)}, b={fmt(b)}"
 
     def gen_associative():
-        for a, b, c in itertools.product(vals, repeat=3):
-            left = F.add_set_value(F.hyperadd_values(b, c), a)
-            right = F.add_set_value(F.hyperadd_values(a, b), c)
+        for a, b, c in itertools.product(firsts, vals, vals):
+            left = F.add_set_value(add(b, c), a)
+            right = F.add_set_value(add(a, b), c)
             if left != right:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     def gen_neutral():
         for a in vals:
-            s = F.hyperadd_values(zero, a)
+            s = add(zero, a)
             if not (isinstance(s, FiniteSet) and s.values == frozenset({a})):
                 yield f"a={fmt(a)}: 0+a = {s!r}"
 
@@ -506,19 +623,19 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             except DomainError:
                 yield f"a={fmt(a)}: no hyperinverse"
                 return
-            if not F.hyperadd_values(a, na).contains_value(zero):
+            if not add(a, na).contains_value(zero):
                 yield f"a={fmt(a)}: 0 not in a+(-a)"
                 return
             others = [x for x in vals
-                      if x != na and F.hyperadd_values(a, x).contains_value(zero)]
+                      if x != na and add(a, x).contains_value(zero)]
             if others:
                 yield f"a={fmt(a)}: second inverse {fmt(others[0])}"
 
     def gen_reversible():
-        for a, b, c in itertools.product(vals, repeat=3):
+        for a, b, c in itertools.product(firsts, vals, vals):
             try:
-                lhs = F.hyperadd_values(b, c).contains_value(a)
-                rhs = F.hyperadd_values(F.neg_value(a), c).contains_value(
+                lhs = add(b, c).contains_value(a)
+                rhs = add(F.neg_value(a), c).contains_value(
                     F.neg_value(b))
             except DomainError:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}: hyperinverse undefined"
@@ -528,28 +645,30 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def gen_zero_absorbs():
         for a in vals:
-            if F.mul_values(zero, a) != zero:
+            if F.mul_values(zero, a) != zero or F.mul_values(a, zero) != zero:
                 yield f"a={fmt(a)}"
 
     def gen_distributive():
-        for a, b, c in itertools.product(vals, repeat=3):
-            bc = F.hyperadd_values(b, c)
+        for a, b, c in itertools.product(scalars, vals, vals):
+            bc = add(b, c)
             if a == zero:
                 left: HyperSet = FiniteSet(F, frozenset({zero}))
             else:
                 left = F.scale_set_value(a, bc)
-            right = F.hyperadd_values(F.mul_values(a, b), F.mul_values(a, c))
+            right = add(F.mul_values(a, b), F.mul_values(a, c))
             if left != right:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
+    # premises first; the report lists the checks in _AXIOMS order
+    run("multiplicative group", gen_group())
     run("nonempty", gen_nonempty())
     run("commutativity", gen_commutative())
-    run("associativity", gen_associative())
     run("neutral element", gen_neutral())
     run("unique inverse", gen_inverse())
-    run("reversibility", gen_reversible())
     run("zero absorbs", gen_zero_absorbs())
     run("distributivity", gen_distributive())
+    run("associativity", gen_associative())
+    run("reversibility", gen_reversible())
 
-    notes = list(getattr(F, "axiom_notes", ()))
-    return AxiomReport(F.name, exhaustive, checks, notes)
+    notes += getattr(F, "axiom_notes", ())
+    return AxiomReport(F.name, exhaustive, [results[a] for a in _AXIOMS], notes)

@@ -7,6 +7,7 @@ the pushforward harness needs, and their checker.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +26,9 @@ from .core import (
     ParseError,
     PhaseUnion,
     TropicalRay,
+    unit_powers,
 )
+from .polynomial import split_parts
 
 
 # Miller-Rabin over the first 13 prime bases is exact below this bound
@@ -153,8 +156,14 @@ _LIVE_INSTANCES = weakref.WeakValueDictionary()
 
 
 def _prime_field(p: int) -> PrimeField:
-    """F_p, shared with every other live user of the same prime."""
-    return _LIVE_INSTANCES.setdefault(("Fp", p), PrimeField(p))
+    """F_p, shared with every other live user of the same prime.
+
+    Primality is tested once, when no live instance exists.
+    """
+    F = _LIVE_INSTANCES.get(("Fp", p))
+    if F is None:
+        F = _LIVE_INSTANCES["Fp", p] = PrimeField(p)
+    return F
 
 
 # -- small hyperfields given by rule tables -----------------------------------
@@ -620,60 +629,38 @@ def build_quotient(p: int, generators) -> QuotientHyperfield:
     return _LIVE_INSTANCES.setdefault(("quot", p, q.subgroup), q)
 
 
-def _multiplicative_order(F: FiniteHyperfield, x) -> int:
-    acc = x
-    n = 1
-    while acc != F.one_value():
-        acc = F.mul_values(acc, x)
-        n += 1
-    return n
-
-
 def iso_to_named(source: Hyperfield, target: Hyperfield) -> Optional[dict]:
     """Search for an isomorphism between two finite hyperfields.
 
-    Both unit groups here are cyclic, so it is enough to try every image of
-    one generator; the map must fix 0 and 1 and carry the hyperaddition
-    table onto the target's.  Returns an element-to-element dict or None.
+    Both unit groups must be cyclic of one order ``n``.  An isomorphism
+    fixes 0 and 1 and sends a generator ``g`` of the source to a generator
+    ``h`` of the target, so it is enough to try ``g^i -> h^i`` for each
+    ``h`` and keep a map that carries both tables onto the target's.
+    Returns an element-to-element dict or None.
     """
     if not (source.is_finite() and target.is_finite()):
         raise NonEnumerableError("isomorphism search needs finite instances")
-    su = [v for v in source.carrier_values() if v != source.zero_value()]
-    tu = [v for v in target.carrier_values() if v != target.zero_value()]
-    if len(su) != len(tu):
+    powers, target_powers = unit_powers(source), unit_powers(target)
+    if not (powers and target_powers and len(powers) == len(target_powers)):
         return None
-    n = len(su)
-    gen = next((x for x in su if _multiplicative_order(source, x) == n), None)
-    if gen is None:
-        return None
-    powers = []
-    acc = source.one_value()
-    for _ in range(n):
-        acc = source.mul_values(acc, gen)
-        powers.append(acc)
-    for h in tu:
-        if _multiplicative_order(target, h) != n:
+    n = len(powers)
+    target_log = {v: k for k, v in enumerate(target_powers)}
+    values = source.carrier_values()
+    for h in target.carrier_values():
+        k = target_log.get(h)
+        if k is None or math.gcd(k, n) != 1:
             continue
         mapping = {source.zero_value(): target.zero_value()}
-        acc = target.one_value()
-        ok = True
-        for x in powers:
-            acc = target.mul_values(acc, h)
-            if x in mapping:
-                ok = mapping[x] == acc
-            mapping[x] = acc
-        if not ok or len(set(mapping.values())) != n + 1:
-            continue
+        mapping.update((x, target_powers[i * k % n]) for i, x in enumerate(powers))
         if all(
-            frozenset(mapping[x.value]
-                      for x in source.hyperadd_values(a, b).enumerate())
-            == frozenset(x.value
-                         for x in target.hyperadd_values(mapping[a], mapping[b])
-                         .enumerate())
-            for a in source.carrier_values() for b in source.carrier_values()
+            mapping[source.mul_values(a, b)]
+            == target.mul_values(mapping[a], mapping[b])
+            and frozenset(mapping[x] for x in source.hyperadd_values(a, b).values)
+            == target.hyperadd_values(mapping[a], mapping[b]).values
+            for a in values for b in values
         ):
-            return {Element(source, k): Element(target, v)
-                    for k, v in mapping.items()}
+            return {Element(source, x): Element(target, y)
+                    for x, y in mapping.items()}
     return None
 
 
@@ -820,20 +807,24 @@ def parse_field(spec: str) -> Hyperfield:
             p = int(spec[3:])
         except ValueError:
             raise ParseError(f"bad prime in field spec {spec!r}") from None
-        if not is_prime(p):  # above PRIMALITY_LIMIT this is a DomainError
-            raise ParseError(f"{p} is not prime")
-        return _prime_field(p)
+        try:
+            return _prime_field(p)
+        except DomainError as exc:
+            if p >= PRIMALITY_LIMIT:  # too large to decide: a domain error
+                raise
+            raise ParseError(str(exc)) from None
     if spec.startswith("quot:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParseError(f"bad quotient spec {spec!r}")
+        if not parts[2].strip():
+            raise ParseError(f"quotient spec {spec!r} lists no generators")
+        entries = split_parts(parts[2])
         try:
             p = int(parts[1])
-            gens = [int(g) for g in parts[2].split(",") if g.strip()]
+            gens = [int(g) for g in entries]
         except ValueError:
             raise ParseError(f"bad quotient spec {spec!r}") from None
-        if not gens:
-            raise ParseError(f"quotient spec {spec!r} lists no generators")
         try:
             return build_quotient(p, gens)
         except DomainError as exc:

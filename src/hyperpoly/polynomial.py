@@ -266,7 +266,10 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
         memo[key] = best
         return best
 
-    m, chain = rec(p.values())
+    try:
+        m, chain = rec(p.values())
+    finally:
+        del rec  # rec refers to itself; the cycle would keep memo alive
     return MultReport(a, m, "recursive", tuple(poly(F, q) for q in chain))
 
 

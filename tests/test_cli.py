@@ -139,6 +139,19 @@ class TestVerbs:
         assert code == 0
         assert calls == ["quot:7:1,2,4"]
 
+    def test_axioms_marks_skipped_checks(self, capsys, monkeypatch):
+        checks = [core.AxiomCheck("multiplicative group", False, "x=2, y=2"),
+                  core.AxiomCheck("distributivity", False,
+                                  "needs multiplicative group", skipped=True)]
+        report = core.AxiomReport("X", True, checks, [])
+        monkeypatch.setattr("hyperpoly.cli.check_axioms", lambda F: report)
+        code, out, _ = run(capsys, "axioms", "--field", "S", "--format", "json")
+        assert code == 1
+        entries = json.loads(out)["checks"]
+        assert [e.get("skipped") for e in entries] == [None, True]
+        code, out, _ = run(capsys, "axioms", "--field", "S")
+        assert "distributivity: skipped  [needs multiplicative group]" in out
+
     def test_verify_batches(self, capsys):
         for what, cases in (("descartes", "25"), ("newton", "10"),
                             ("tropical", "40")):
@@ -236,7 +249,10 @@ class TestExitCodes:
         (("descartes", "--poly=-2,1", "--roots", "2,,"), "2,,"),
         (("hyperprod", "--field", "S", "--polys", "(1,1);;(1,-1)"),
          "(1,1);;(1,-1)"),
-    ], ids=["poly-inner", "poly-trailing", "roots", "hyperprod"])
+        (("axioms", "--field", "quot:13:3,"), "3,"),
+        (("axioms", "--field", "quot:13:,3"), ",3"),
+    ], ids=["poly-inner", "poly-trailing", "roots", "hyperprod",
+            "quot-trailing", "quot-leading"])
     def test_empty_list_entry_is_two(self, capsys, argv, text):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hyperpoly import (
     INF,
     DomainError,
+    FiniteHyperfield,
     KRASNER,
     ParseError,
     PrimeField,
@@ -29,6 +30,7 @@ from hyperpoly import (
     sign_hom,
     sign_map,
 )
+from hyperpoly import instances
 from hyperpoly.instances import (
     PRIMALITY_LIMIT,
     QUOTIENT_PRIME_BOUND,
@@ -102,6 +104,14 @@ class TestQuotients:
         q = build_quotient(7, [3])
         assert sorted(q.carrier_values()) == [0, 1]
         assert iso_to_named(q, KRASNER) is not None
+
+    def test_unit_without_a_power_equal_to_one_is_not_isomorphic(self):
+        # 2*2 = 3 and 2*3 = 3*3 = 3: no power of 2 or 3 is ever 1
+        target = build_quotient(7, [6])
+        mul = {(0, v): 0 for v in range(4)} | {(1, v): v for v in range(1, 4)}
+        mul |= {(2, 2): 3, (2, 3): 3, (3, 3): 3}
+        source = FiniteHyperfield("stuck", range(4), 0, 1, mul, target.add_table)
+        assert iso_to_named(source, target) is None
 
     def test_f5_mod_squares_is_not_weak_sign(self):
         # 5 = 1 mod 4: the square classes sum differently, [1]+[1] hits [0].
@@ -236,6 +246,23 @@ class TestSpecStrings:
         for spec in ["X", "Fp:6", "Fp:x", "quot:7", "quot:8:1", "quot:7:0"]:
             with pytest.raises(ParseError):
                 parse_field(spec)
+
+    def test_prime_field_spec_tests_primality_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(instances, "is_prime", counted)
+        p = 998244353
+        F = parse_field(f"Fp:{p}")  # a miss: no live instance yet
+        assert calls == [p]
+        assert parse_field(f"Fp:{p}") is F  # a hit
+        assert calls == [p]
+        with pytest.raises(ParseError, match="is not prime"):
+            parse_field("Fp:998244351")
+        assert calls == [p, 998244351]
 
     def test_homomorphism_specs(self):
         assert parse_homomorphism("sign").rule == "sign"

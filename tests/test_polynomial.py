@@ -1,6 +1,7 @@
 """Roots, quotient enumeration, recursive multiplicities, and the set-valued
 polynomial operations."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -146,6 +147,17 @@ class TestMultiplicity:
         assert rep.multiplicity == 2
         assert rep.method == "recursive"
         assert witness_chain_valid(p, rep)
+
+    def test_search_leaves_no_garbage_cycles(self):
+        # the degree-12 golden case: its memo is freed when the call returns
+        p = poly(SIGN, [-1, 1, 1, 1, 0, -1, 0, 1, 1, 1, 0, -1, -1])
+        gc.collect()
+        gc.disable()
+        try:
+            assert multiplicity(p, SIGN.element(-1)).multiplicity == 8
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weak_sign_double_roots_exceed_degree(self):
         p = poly(WEAK_SIGN, [1, 1, 1])
