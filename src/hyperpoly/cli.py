@@ -100,10 +100,9 @@ def _cmd_roots(args) -> int:
         return 0
     if not F.is_finite():
         raise DomainError(f"roots cannot be enumerated over {F.name}")
-    memo: dict = {}
     found = []
     for a in sorted(F.elements(), key=lambda e: F.sort_key(e.value)):
-        rep = multiplicity(p, a, memo=memo)
+        rep = multiplicity(p, a)
         if rep.multiplicity > 0:
             found.append((a, rep.multiplicity))
     payload = {
@@ -192,8 +191,12 @@ def _cmd_newton(args) -> int:
         if npg.inf_prefix:
             lines.append(f"inf_prefix={npg.inf_prefix}")
         if args.plot_data:
-            with open(args.plot_data, "w", encoding="ascii") as fh:
-                fh.write(npg.plot_data())
+            try:
+                with open(args.plot_data, "w", encoding="ascii") as fh:
+                    fh.write(npg.plot_data())
+            except OSError as exc:
+                raise DomainError(f"cannot write plot data to {args.plot_data!r}: "
+                                  f"{exc.strerror}") from None
             lines.append(f"plot data written to {args.plot_data}")
         _emit(args, payload, lines)
         return 0

@@ -246,6 +246,17 @@ class Hyperfield:
             values |= r.values
         return FiniteSet(self, frozenset(values))
 
+    def hypersum_values(self, values) -> HyperSet:
+        """n-ary hypersum of raw values, folded through :meth:`add_set_value`.
+
+        The empty sum is ``{0}``.  Associativity of the binary operation
+        makes the result independent of the term order.
+        """
+        acc: HyperSet = FiniteSet(self, frozenset({self.zero_value()}))
+        for v in values:
+            acc = self.add_set_value(acc, v)
+        return acc
+
     def scale_set_value(self, a, s: HyperSet) -> HyperSet:
         """The set ``a * s``, elementwise; default needs ``s`` finite."""
         if not isinstance(s, FiniteSet):
@@ -306,16 +317,11 @@ class Hyperfield:
         return Element(self, self.inv_value(a.value))
 
     def hypersum(self, terms: Sequence[Element]) -> HyperSet:
-        """n-ary hypersum, the union over all partial-sum choices.
-
-        The empty sum is ``{0}``.  Associativity of the binary operation
-        makes the result independent of the term order.
-        """
-        acc: HyperSet = FiniteSet(self, frozenset({self.zero_value()}))
+        """n-ary hypersum, the union over all partial-sum choices."""
+        terms = list(terms)
         for t in terms:
             self.check_member(t)
-            acc = self.add_set_value(acc, t.value)
-        return acc
+        return self.hypersum_values(t.value for t in terms)
 
     # -- root multiplicities ------------------------------------------------
 
@@ -352,7 +358,6 @@ class FiniteHyperfield(Hyperfield):
         for (x, y), v in list(self.mul_table.items()):
             self.mul_table.setdefault((y, x), v)
         self._neg_cache = {}
-        self._sum_cache = {}
 
     def is_finite(self) -> bool:
         return True
@@ -393,14 +398,12 @@ class FiniteHyperfield(Hyperfield):
         raise DomainError(f"{self.name}: {x!r} has no multiplicative inverse")
 
     def hyperadd_values(self, x, y) -> HyperSet:
-        hit = self._sum_cache.get((x, y))
-        if hit is None:
-            hit = FiniteSet(self, self.add_table[(x, y)])
-            self._sum_cache[(x, y)] = hit
-        return hit
+        # no cache of FiniteSets: each holds the instance, and the cycle
+        # would keep the instance alive until a full gc pass
+        return FiniteSet(self, self.add_table[(x, y)])
 
     def add_set_value(self, s: HyperSet, c) -> HyperSet:
-        # singleton unions collapse to a cached table lookup
+        # singleton unions collapse to a table lookup
         if isinstance(s, FiniteSet) and len(s.values) == 1:
             (x,) = s.values
             return self.hyperadd_values(x, c)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from . import ratpoly
 from .core import DomainError
 from .instances import SIGN, RationalField
-from .polynomial import Poly, poly_from_elements
+from .polynomial import Poly
 
 
 def sign_changes(p: Poly) -> int:
@@ -22,15 +22,15 @@ def sign_changes(p: Poly) -> int:
         raise DomainError("sign_changes expects a polynomial over S")
     if p.is_zero():
         raise DomainError("sign_changes is undefined for the zero polynomial")
-    seq = [c.value for c in p.coeffs if c.value != 0]
+    seq = [v for v in p.values() if v != 0]
     return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
 def substitute_neg(p: Poly) -> Poly:
     """p(-T): negate the odd-index coefficients."""
     F = p.field
-    flipped = [F.neg(c) if i % 2 else c for i, c in enumerate(p.coeffs)]
-    return poly_from_elements(F, flipped)
+    return Poly(F, tuple(F.neg_value(v) if i % 2 else v
+                         for i, v in enumerate(p.values())))
 
 
 def sign_roots(q: Poly) -> dict:
@@ -39,7 +39,7 @@ def sign_roots(q: Poly) -> dict:
     The closed form of the sign rule: sign changes of q(T) and q(-T), and
     the order of q at zero.
     """
-    zero_order = next(i for i, c in enumerate(q.coeffs) if c.value != 0)
+    zero_order = next(i for i, v in enumerate(q.values()) if v != 0)
     mults = {1: sign_changes(q), -1: sign_changes(substitute_neg(q)), 0: zero_order}
     return {b: m for b, m in mults.items() if m}
 

@@ -20,43 +20,48 @@ from .core import (
 
 @dataclass(frozen=True)
 class Poly:
-    """Coefficients c0..cn (ascending degree) over one hyperfield.
+    """Raw coefficient values c0..cn (ascending degree) over one hyperfield.
 
     Normalized: the top coefficient is nonzero; the zero polynomial is the
-    empty tuple.  Use :func:`poly` to construct from raw values.
+    empty tuple.  The constructor trusts its values; use :func:`poly` to
+    check them.
     """
 
     field: Hyperfield
-    coeffs: tuple
+    raw: tuple
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     @property
     def degree(self) -> int:
         if self.is_zero():
             raise DomainError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> Element:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
+        return len(self.raw) - 1
 
     def values(self) -> tuple:
-        return tuple(c.value for c in self.coeffs)
+        return self.raw
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as :class:`Element` values, built on demand."""
+        return tuple(Element(self.field, v) for v in self.raw)
 
     def __repr__(self) -> str:
         return f"Poly({self.field.name}: {format_poly(self)})"
 
 
-def poly(field: Hyperfield, values: Iterable) -> Poly:
-    """Build a normalized polynomial from raw coefficient values."""
-    coeffs = [field.element(v) for v in values]
+def _normalized(field: Hyperfield, values: list) -> Poly:
+    """The polynomial of checked ``values``, trailing zeros stripped."""
     zero = field.zero_value()
-    while coeffs and coeffs[-1].value == zero:
-        coeffs.pop()
-    return Poly(field, tuple(coeffs))
+    while values and values[-1] == zero:
+        values.pop()
+    return Poly(field, tuple(values))
+
+
+def poly(field: Hyperfield, values: Iterable) -> Poly:
+    """Build a normalized polynomial from raw values, checking each once."""
+    return _normalized(field, [field.validate_value(v) for v in values])
 
 
 def poly_from_elements(field: Hyperfield, elems: Sequence[Element]) -> Poly:
@@ -68,7 +73,7 @@ def poly_from_elements(field: Hyperfield, elems: Sequence[Element]) -> Poly:
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    return ",".join(p.field.format_value(c.value) for c in p.coeffs)
+    return ",".join(p.field.format_value(v) for v in p.values())
 
 
 def split_parts(text: str, sep: str = ",") -> list[str]:
@@ -90,14 +95,14 @@ def parse_poly(field: Hyperfield, text: str) -> Poly:
         return Poly(field, ())
     values = [field.parse_value(s) for s in split_parts(text)]
     p = poly(field, values)
-    if len(p.coeffs) != len(values):
+    if len(p.values()) != len(values):
         warnings.warn("trailing zero coefficients stripped from polynomial input",
                       stacklevel=2)
     return p
 
 
 def poly_sort_key(p: Poly):
-    return (len(p.coeffs), tuple(p.field.sort_key(c.value) for c in p.coeffs))
+    return (len(p.values()), tuple(p.field.sort_key(v) for v in p.values()))
 
 
 # -- evaluation and roots --------------------------------------------------
@@ -107,23 +112,21 @@ def eval_hyperset(p: Poly, a: Element) -> HyperSet:
     """The hypersum of c_i * a^i; ``a`` is a root iff it contains zero."""
     F = p.field
     F.check_member(a)
-    terms = []
-    power = F.one()
-    for i, c in enumerate(p.coeffs):
-        if i > 0:
-            power = F.mul(power, a)
-        terms.append(F.mul(c, power))
-    return F.hypersum(terms)
+    terms, power = [], F.one_value()
+    for c in p.values():
+        terms.append(F.mul_values(c, power))
+        power = F.mul_values(power, a.value)
+    return F.hypersum_values(terms)
 
 
 def is_root(p: Poly, a: Element) -> bool:
-    return eval_hyperset(p, a).contains(p.field.zero())
+    return eval_hyperset(p, a).contains_value(p.field.zero_value())
 
 
 def linear_poly(field: Hyperfield, a: Element) -> Poly:
     """The monic linear polynomial T - a."""
     field.check_member(a)
-    return poly_from_elements(field, (field.neg(a), field.one()))
+    return Poly(field, (field.neg_value(a.value), field.one_value()))
 
 
 def _quotients_raw(F: Hyperfield, c: tuple, a, step: dict) -> list:
@@ -175,7 +178,7 @@ def quotients(p: Poly, a: Element) -> tuple:
     F.check_member(a)
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    return tuple(poly(F, q) for q in _quotients_raw(F, p.values(), a.value, {}))
+    return tuple(Poly(F, q) for q in _quotients_raw(F, p.values(), a.value, {}))
 
 
 def divides_with_quotient(p: Poly, a: Element, q: Poly) -> bool:
@@ -186,21 +189,14 @@ def divides_with_quotient(p: Poly, a: Element, q: Poly) -> bool:
     """
     F = p.field
     F.check_member(a)
-    if p.is_zero() or q.is_zero():
+    c, d, av = p.values(), q.values(), a.value
+    n = len(d)
+    if q.field is not F or n == 0 or len(c) != n + 1:
         return False
-    n = p.degree
-    if n == 0 or q.degree != n - 1:
+    if c[n] != d[n - 1] or c[0] != F.neg_value(F.mul_values(av, d[0])):
         return False
-    d = q.coeffs
-    if p.coeffs[n] != d[n - 1]:
-        return False
-    if p.coeffs[0] != F.neg(F.mul(a, d[0])):
-        return False
-    for i in range(1, n):
-        s = F.hyperadd(F.neg(F.mul(a, d[i])), d[i - 1])
-        if not s.contains(p.coeffs[i]):
-            return False
-    return True
+    return all(F.hyperadd_values(F.neg_value(F.mul_values(av, d[i])), d[i - 1])
+               .contains_value(c[i]) for i in range(1, n))
 
 
 @dataclass(frozen=True)
@@ -234,9 +230,10 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     if p.is_zero():
         raise DomainError("multiplicity is undefined for the zero polynomial")
     zero = F.zero_value()
+    c = p.values()
     if a.value == zero:
-        r = next(i for i, c in enumerate(p.coeffs) if c.value != zero)
-        chain = tuple(Poly(F, p.coeffs[i:]) for i in range(1, r + 1))
+        r = next(i for i, v in enumerate(c) if v != zero)
+        chain = tuple(Poly(F, c[i:]) for i in range(1, r + 1))
         return MultReport(a, r, "zero-order", chain)
     report = F.rule_multiplicity(p, a)
     if report is not None:
@@ -267,10 +264,10 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
         return best
 
     try:
-        m, chain = rec(p.values())
+        m, chain = rec(c)
     finally:
         del rec  # rec refers to itself; the cycle would keep memo alive
-    return MultReport(a, m, "recursive", tuple(poly(F, q) for q in chain))
+    return MultReport(a, m, "recursive", tuple(Poly(F, q) for q in chain))
 
 
 def witness_chain_valid(p: Poly, report: MultReport) -> bool:
@@ -293,7 +290,7 @@ def _choices(F: Hyperfield, sums: list) -> frozenset:
     if not all(s.is_finite() for s in sums):
         raise NonEnumerableError(
             "polynomial hyperoperations need finitely enumerable hypersums")
-    return frozenset(poly(F, combo)
+    return frozenset(_normalized(F, list(combo))
                      for combo in itertools.product(*(s.values for s in sums)))
 
 
@@ -302,8 +299,8 @@ def hyper_add_poly(p: Poly, q: Poly) -> frozenset:
     F = p.field
     if q.field is not F:
         raise DomainError("polynomials over different instances")
-    n = max(len(p.coeffs), len(q.coeffs))
-    return _choices(F, [F.hyperadd(p.coeff(i), q.coeff(i)) for i in range(n)])
+    pairs = itertools.zip_longest(p.values(), q.values(), fillvalue=F.zero_value())
+    return _choices(F, [F.hyperadd_values(x, y) for x, y in pairs])
 
 
 def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
@@ -313,9 +310,10 @@ def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
         raise DomainError("polynomials over different instances")
     if p.is_zero() or q.is_zero():
         return frozenset({Poly(F, ())})
-    n, m = p.degree, q.degree
-    return _choices(F, [F.hypersum([F.mul(p.coeffs[k], q.coeffs[i - k])
-                                    for k in range(max(0, i - m), min(n, i) + 1)])
+    c, d = p.values(), q.values()
+    n, m = len(c) - 1, len(d) - 1
+    return _choices(F, [F.hypersum_values(F.mul_values(c[k], d[i - k])
+                                          for k in range(max(0, i - m), min(n, i) + 1))
                         for i in range(n + m + 1)])
 
 
@@ -375,8 +373,8 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
 
     Hypermultiplication is not associative in general, so different trees can
     give genuinely different sets.  ``association`` is a nested-pair tree of
-    1-based factor indices (string or parsed form); the default is the
-    left-nested order.
+    1-based factor indices, as text for :func:`parse_assoc`; the default is
+    the left-nested order.
     """
     factors = list(factors)
     if not factors:
@@ -385,23 +383,20 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
     for f in factors:
         if f.field is not F:
             raise DomainError("factors over different instances")
-    if association is None:
-        tree = left_nested_assoc(len(factors))
-    elif isinstance(association, str):
-        tree = parse_assoc(association)
-    else:
-        tree = association
+    tree = (left_nested_assoc(len(factors)) if association is None
+            else parse_assoc(association))
     if sorted(_tree_leaves(tree)) != list(range(1, len(factors) + 1)):
         raise DomainError("association tree must use each factor index once")
 
     def ev(node) -> frozenset:
         if isinstance(node, int):
             return frozenset({factors[node - 1]})
-        left, right = ev(node[0]), ev(node[1])
         out = set()
-        for u in left:
-            for v in right:
-                out |= hyper_mul_poly(u, v)
+        for u, v in itertools.product(ev(node[0]), ev(node[1])):
+            out |= hyper_mul_poly(u, v)
         return frozenset(out)
 
-    return ev(tree)
+    try:
+        return ev(tree)
+    finally:
+        del ev  # ev refers to itself; the cycle would keep the factors alive

@@ -204,7 +204,7 @@ def _check_monic_roots(p: Poly, roots) -> list:
     vals = _root_values(roots)
     if len(vals) != p.degree:
         raise DomainError(f"expected {p.degree} roots, got {len(vals)}")
-    if p.coeffs[-1].value != Fraction(0):
+    if p.values()[-1] != Fraction(0):
         raise DomainError("a monic polynomial (leading coefficient 0) is required")
     return vals
 
@@ -278,7 +278,7 @@ def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
     c = p_monic.values()
     n = len(c) - 1
     if a is INF:
-        return poly(TROPICAL, c[1:])
+        return Poly(TROPICAL, c[1:])
     k = sorted_roots.index(a) + 1
     m = sorted_roots.count(a)
     sums = _prefix_sums(sorted_roots)
@@ -311,16 +311,15 @@ def mult_tropical(p: Poly, s) -> MultReport:
         raise DomainError("multiplicity is undefined for the zero polynomial")
     s_val = _value_of(s)
     elem = Element(F, s_val)
-    lead = p.coeffs[-1].value
-    monic_vals = [_t_sub(v, lead) for v in p.values()]
-    mp = poly(F, monic_vals)
+    lead = p.values()[-1]
+    mp = Poly(F, tuple(_t_sub(v, lead) for v in p.values()))
     roots = list(tropical_roots(mp).values)
     m = sum(1 for v in roots if v == s_val or (v is INF and s_val is INF))
     chain = []
     cur, cur_scaled, cur_roots = mp, p, list(roots)
     for _ in range(m):
         q = _divide_root(cur, s_val, cur_roots)
-        q_scaled = poly(F, [_t_add(v, lead) for v in q.values()])
+        q_scaled = Poly(F, tuple(_t_add(v, lead) for v in q.values()))
         if not divides_with_quotient(cur_scaled, elem, q_scaled):
             raise AssertionError("tropical witness quotient failed to divide")
         chain.append(q_scaled)
@@ -344,12 +343,10 @@ def random_root_multisets(count: int, seed: int = 0, max_size: int = 6,
         yield TropicalRootMultiset.of(rng.choice(pool) for _ in range(size))
 
 
-def tropical_roundtrip_batch(count: int = 500, seed: int = 0,
-                             max_size: int = 6,
-                             pool: Sequence = DEFAULT_TROPICAL_ROOT_POOL) -> list:
+def tropical_roundtrip_batch(count: int = 500, seed: int = 0) -> list:
     """(multiset, recovered multiset, in_product, functional_equiv) tuples."""
     out = []
-    for ms in random_root_multisets(count, seed, max_size, pool):
+    for ms in random_root_multisets(count, seed):
         p = expand_roots(ms)
         out.append((ms, tropical_roots(p), in_product(p, ms),
                     functional_equiv(p, ms)))

@@ -75,6 +75,15 @@ class TestVerbs:
         assert len(blocks) == 3
         assert all(len(b.splitlines()) == 2 for b in blocks)
 
+    def test_newton_plot_data_unwritable(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.dat")
+        code, out, err = run(capsys, "newton", "--field", "T", "--poly", "0,1",
+                             "--plot-data", target)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[0] == (f"error: cannot write plot data to {target!r}: "
+                                       "No such file or directory")
+
     def test_hyperprod_counts(self, capsys):
         code, out, _ = run(capsys, "hyperprod", "--field", "S",
                            "--polys", "(-1,1);(-1,1);(1,1)",

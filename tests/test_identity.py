@@ -7,6 +7,7 @@ up two instances named ``S``.
 """
 
 import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from hyperpoly import (
     FiniteHyperfield,
     NonEnumerableError,
     ParseError,
+    QuotientHyperfield,
     TropicalHyperfield,
     build_quotient,
+    hyper_product,
     multiplicity,
     newton_polygon,
     parse_field,
@@ -31,7 +34,6 @@ from hyperpoly import (
     quotient_projection,
     sign_hyperfield,
 )
-from hyperpoly.instances import _LIVE_INSTANCES
 from hyperpoly.polynomial import ASSOC_MAX_DEPTH, parse_assoc
 
 
@@ -87,10 +89,26 @@ class TestInterning:
         assert [e.value for e in s.enumerate()] == [1]
         assert quotient_projection(build_quotient(7, [2])).source is F
 
+    @staticmethod
+    def assert_freed_after_use(use):
+        # built directly, not interned, so no other test can hold it; with
+        # gc off, only a reference cycle could keep it alive past ``del``
+        F = QuotientHyperfield(13, [5])
+        use(F)
+        ref = weakref.ref(F)
+        gc.disable()
+        try:
+            del F
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_dead_quotients_are_not_retained(self):
-        name = build_quotient(13, [5]).name
-        gc.collect()
-        assert all(v.name != name for v in _LIVE_INSTANCES.values())
+        self.assert_freed_after_use(lambda F: F.hyperadd(F.one(), F.one()))
+
+    def test_hyper_product_keeps_no_instance_alive(self):
+        self.assert_freed_after_use(
+            lambda F: hyper_product([poly(F, [1, 1]), poly(F, [2, 1]), poly(F, [1, 1])]))
 
 
 class TestOwnInstances:

@@ -24,7 +24,7 @@ from hyperpoly import (
     quotients,
     witness_chain_valid,
 )
-from hyperpoly.polynomial import Poly, _quotients_raw, poly_sort_key
+from hyperpoly.polynomial import _quotients_raw, poly_sort_key
 
 # module-level references keep the parsed instances alive for the whole run
 FIELDS = [SIGN, KRASNER, WEAK_SIGN, parse_field("Fp:5"), parse_field("quot:7:2")]
@@ -37,7 +37,7 @@ def reference_quotients(p, a) -> tuple:
         return ()
     if a.value == F.zero_value():
         if p.coeffs[0].value == F.zero_value():
-            return (Poly(F, p.coeffs[1:]),)
+            return (poly_from_elements(F, p.coeffs[1:]),)
         return ()
     chains = [(p.coeffs[n],)]  # chains grow as (d_{n-1}, ..., d_i)
     for i in range(n - 1, 0, -1):
