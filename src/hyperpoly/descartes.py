@@ -47,8 +47,8 @@ def sign_roots(q: Poly) -> dict:
 def count_roots_by_sign(p: Poly) -> dict:
     """Real roots of a rational polynomial with multiplicity, keyed by sign.
 
-    One Yun decomposition reduces p to squarefree factors, and one Sturm
-    chain per factor counts its negative, zero and positive roots.
+    Yun over Z splits p, cleared once to a primitive integer polynomial,
+    into squarefree factors; primitive Sturm chains count their roots.
     """
     if not isinstance(p.field, RationalField):
         raise DomainError("count_roots_by_sign expects a polynomial over Q")

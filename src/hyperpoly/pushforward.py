@@ -47,9 +47,9 @@ def verify_pushforward(hom: Homomorphism, p: Poly,
 
     Bounds come from ``hom.image_roots``; counts from ``hom.count_roots``
     when the hom has a counter, else from ``roots``.  A ``roots`` hint must
-    list every root of p with multiplicity, so that it expands exactly to p
-    in rational arithmetic; it then certifies the factorization, and the
-    counter, the hint and the bounds must agree on every b.
+    list every root n/d of p with multiplicity, so that p is a multiple of
+    the integer product of the (d*T - n); it then certifies the
+    factorization, and the counter, the hint and the bounds must agree.
     """
     if hom.image_roots is None:
         raise DomainError(f"{hom.rule}: no closed form for multiplicities "
@@ -66,8 +66,9 @@ def verify_pushforward(hom: Homomorphism, p: Poly,
     certified = roots is not None
     if certified:
         hint = [p.field.element(r) for r in roots]
-        coeffs = list(p.values())
-        if ratpoly.expand_roots([r.value for r in hint], coeffs[-1]) != coeffs:
+        coeffs = p.values()
+        expanded = ratpoly.expand_roots([r.value for r in hint])
+        if [c * expanded[-1] for c in coeffs] != [coeffs[-1] * e for e in expanded]:
             raise DomainError("split hint does not expand to the polynomial")
         hinted = dict(Counter(hom(r).value for r in hint))
         counts = hinted if counts is None else counts
@@ -90,5 +91,5 @@ def split_poly_corpus(count: int, seed: int = 0, max_degree: int = 6,
         deg = rng.randint(1, max_degree)
         roots = sorted(rng.choice(root_pool) for _ in range(deg))
         lead = rng.choice(leads)
-        coeffs = ratpoly.expand_roots(roots, lead)
-        yield poly(RATIONALS, coeffs), roots
+        expanded = ratpoly.expand_roots(roots)
+        yield poly(RATIONALS, [c * lead / expanded[-1] for c in expanded]), roots

@@ -1,16 +1,23 @@
-"""Dense exact-rational polynomial helpers: arithmetic, gcd, Yun squarefree
-decomposition, and Sturm chains.  Coefficients are ascending lists of
-Fractions with no trailing zeros."""
+"""Exact real root counting on primitive integer polynomials: Yun squarefree
+decomposition and Sturm chains.
+
+A polynomial is an ascending coefficient list with no trailing zeros.  A
+rational input has its denominators cleared once, by their lcm, and is
+divided by its positive content, so the kernels see a primitive integer
+polynomial that is a positive multiple of the input.  Every later step keeps
+that invariant: quotients are exact in Z by Gauss's lemma, and a remainder
+is a positive multiple of the rational one, reduced by its positive content.
+Only roots and signs are read, and positive multiples keep both.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import DomainError
+import math
+from itertools import zip_longest
 
 
 def normalize(coeffs) -> list:
-    out = [Fraction(c) for c in coeffs]
+    out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -20,133 +27,123 @@ def degree(p) -> int:
     return len(p) - 1
 
 
-def is_zero(p) -> bool:
-    return not p
-
-
-def add(p, q) -> list:
-    n = max(len(p), len(q))
-    return normalize([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
-def neg(p) -> list:
-    return [-c for c in p]
+def primitive(p) -> list:
+    """The primitive integer polynomial that is a positive multiple of the
+    rational polynomial p: denominators cleared by their lcm, then divided
+    by the positive content."""
+    den = math.lcm(*(c.denominator for c in p))
+    q = normalize(c.numerator * (den // c.denominator) for c in p)
+    g = math.gcd(*q)
+    return [c // g for c in q] if g > 1 else q
 
 
 def sub(p, q) -> list:
-    return add(p, neg(q))
-
-
-def scale(p, c) -> list:
-    return normalize([ci * c for ci in p])
+    return normalize(a - b for a, b in zip_longest(p, q, fillvalue=0))
 
 
 def mul(p, q) -> list:
-    if is_zero(p) or is_zero(q):
+    if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return normalize(out)
-
-
-def divmod_exact(p, q):
-    if is_zero(q):
-        raise DomainError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(rem) >= len(q) and not is_zero(rem):
-        k = len(rem) - len(q)
-        c = rem[-1] / lead
-        quo[k] = c
-        for i, b in enumerate(q):
-            rem[k + i] -= c * b
-        rem = normalize(rem)
-    return normalize(quo), rem
-
-
-def rem(p, q) -> list:
-    return divmod_exact(p, q)[1]
-
-
-def div_exact(p, q) -> list:
-    quo, r = divmod_exact(p, q)
-    if not is_zero(r):
-        raise DomainError("inexact polynomial division")
-    return quo
+    return out
 
 
 def derivative(p) -> list:
-    return normalize([i * c for i, c in enumerate(p)][1:])
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def monic(p) -> list:
-    if is_zero(p):
-        return []
-    return scale(p, 1 / p[-1])
+def exact_quotient(p, q) -> list:
+    """p / q for integer polynomials with q dividing p over Q; the quotient
+    has integer coefficients whenever q is primitive (Gauss's lemma)."""
+    rem = list(p)
+    n, lead = degree(q), q[-1]
+    quo = [0] * (len(p) - n)
+    for k in reversed(range(len(quo))):
+        c = quo[k] = rem[k + n] // lead
+        if c:
+            for i in range(n):
+                rem[k + i] -= c * q[i]
+    return quo
+
+
+def pseudo_remainder(p, q) -> list:
+    """A positive multiple of the remainder of p by q: each step scales p
+    by |lc(q)| before it cancels the top term, so the product of the scales
+    is |lc(q)|^k for some k <= deg p - deg q + 1."""
+    rem = list(p)
+    n, lead = degree(q), q[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    for top in reversed(range(n, len(rem))):
+        c = sign * rem[top]
+        if c:
+            k = top - n
+            for i in range(top):
+                rem[i] *= scale
+            for i in range(n):
+                rem[k + i] -= c * q[i]
+    return normalize(rem[:n])
 
 
 def gcd(p, q) -> list:
-    a, b = normalize(p), normalize(q)
-    while not is_zero(b):
-        a, b = b, rem(a, b)
-    return monic(a)
+    """Primitive gcd of two integer polynomials, leading coefficient
+    positive, from the primitive pseudo-remainder sequence."""
+    a, b = primitive(p), primitive(q)
+    while b:
+        a, b = b, primitive(pseudo_remainder(a, b))
+    return a if not a or a[-1] > 0 else [-c for c in a]
 
 
-def eval_at(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def expand_roots(roots, lead=Fraction(1)) -> list:
-    """Expand lead * prod (T - r) over the given roots."""
-    p = [Fraction(lead)]
+def expand_roots(roots, lead=1) -> list:
+    """lead times the product of (d*T - n) over the roots n/d: the integer
+    multiple of lead * prod (T - r) by the product of the denominators."""
+    p = [lead]
     for r in roots:
-        p = mul(p, [-Fraction(r), Fraction(1)])
+        p = mul(p, [-r.numerator, r.denominator])
     return p
 
 
 def yun_squarefree(p) -> list:
-    """Yun's algorithm: pairs (f_i, i) with p = lc * prod f_i^i, f_i monic
-    squarefree and pairwise coprime.  Constant factors are dropped."""
-    p = monic(p)
+    """Yun's algorithm: pairs (f_i, i) with p a rational multiple of
+    prod f_i^i, each f_i a squarefree primitive integer polynomial with a
+    positive leading coefficient, pairwise coprime.  Constant factors are
+    dropped."""
+    p = primitive(p)
     if degree(p) < 1:
         return []
     dp = derivative(p)
     g = gcd(p, dp)
-    if degree(g) == 0:
-        return [(p, 1)]
     out = []
-    c = div_exact(p, g)
-    d = sub(div_exact(dp, g), derivative(c))
+    c = exact_quotient(p, g)
+    d = sub(exact_quotient(dp, g), derivative(c))
     i = 1
     while degree(c) > 0:
         f = gcd(c, d)
         if degree(f) > 0:
             out.append((f, i))
-        c2 = div_exact(c, f)
-        d = sub(div_exact(d, f), derivative(c2))
-        c = c2
+        c, d = exact_quotient(c, f), exact_quotient(d, f)
+        d = sub(d, derivative(c))
         i += 1
     return out
 
 
 def sturm_chain(p) -> list:
-    """p, p', then negated remainders until a nonzero constant (or gcd)."""
-    chain = [normalize(p)]
-    d = derivative(p)
-    if not is_zero(d):
+    """p, p', then negated remainders until a nonzero constant (or gcd).
+
+    Each member is the primitive integer polynomial that is a positive
+    multiple of the classical Sturm sequence's member, so every sign agrees.
+    """
+    chain = [primitive(p)]
+    d = primitive(derivative(chain[0]))
+    if d:
         chain.append(d)
         while degree(chain[-1]) > 0:
-            r = rem(chain[-2], chain[-1])
-            if is_zero(r):
+            r = pseudo_remainder(chain[-2], chain[-1])
+            if not r:
                 break
-            chain.append(neg(r))
+            chain.append(primitive([-c for c in r]))
     return chain
 
 

@@ -10,6 +10,7 @@ root multiset is the closed form that ``padic_hom`` hands to
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,6 +178,12 @@ def expand_roots(roots, lead=Fraction(0)) -> Poly:
     return poly(TROPICAL, coeffs)
 
 
+def _cleared(values, den) -> list:
+    """(i, v * den) for each finite value v, whose denominator divides den."""
+    return [(i, v.numerator * (den // v.denominator))
+            for i, v in enumerate(values) if v is not INF]
+
+
 def eval_function(p: Poly, b) -> Fraction:
     """The min-plus polynomial function: min over i of c_i + i*b."""
     if not isinstance(p.field, TropicalHyperfield):
@@ -186,14 +193,9 @@ def eval_function(p: Poly, b) -> Fraction:
     b = _value_of(b)
     if b is INF:
         raise DomainError("eval_function needs a finite argument")
-    return min(v + i * b for i, v in enumerate(p.values()) if v is not INF)
-
-
-def _roots_function_value(vals, b) -> Fraction:
-    total = Fraction(0)
-    for a in vals:
-        total += b if (a is INF or b <= a) else a
-    return total
+    den = math.lcm(b.denominator, *(v.denominator for v in p.values() if v is not INF))
+    scaled_b = b.numerator * (den // b.denominator)
+    return Fraction(min(c + i * scaled_b for i, c in _cleared(p.values(), den)), den)
 
 
 def _check_monic_roots(p: Poly, roots) -> list:
@@ -252,19 +254,18 @@ def functional_equiv(p: Poly, roots) -> bool:
     exactly by comparing the inf-prefix length with the inf-root count.
     """
     vals = _check_monic_roots(p, roots)
-    prefix = next(i for i, v in enumerate(p.values()) if v is not INF)
-    n_inf = sum(1 for v in vals if v is INF)
-    if prefix != n_inf:
+    # one common denominator, doubled so that the midpoints stay integers
+    den = 2 * math.lcm(*(v.denominator for v in (*p.values(), *vals) if v is not INF))
+    terms = _cleared(p.values(), den)
+    scaled = [a for _, a in _cleared(vals, den)]
+    n_inf = len(vals) - len(scaled)
+    if terms[0][0] != n_inf:  # the inf prefix against the inf roots
         return False
-    finite = sorted({v for v in vals if v is not INF})
-    if not finite:
-        samples = [Fraction(0), Fraction(1)]
-    else:
-        samples = list(finite)
-        samples += [(a + b) / 2 for a, b in zip(finite, finite[1:])]
-        samples += [finite[0] - 1, finite[-1] + 1]
-    return all(eval_function(p, b) == _roots_function_value(vals, b)
-               for b in samples)
+    finite = sorted(set(scaled))
+    ends = [finite[0] - den, finite[-1] + den] if finite else [0, den]
+    samples = finite + [(a + b) // 2 for a, b in zip(finite, finite[1:])] + ends
+    return all(min(c + i * b for i, c in terms)
+               == n_inf * b + sum(min(a, b) for a in scaled) for b in samples)
 
 
 def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:

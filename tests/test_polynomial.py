@@ -38,12 +38,36 @@ from hyperpoly import ratpoly
 RATIONALS = RationalField()
 
 
+def eval_at(p, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def div_exact(p, q) -> list:
+    """Long division of rational polynomials that must leave no remainder."""
+    rem = list(p)
+    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    lead = q[-1]
+    while len(rem) >= len(q) and rem:
+        k = len(rem) - len(q)
+        c = rem[-1] / lead
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = ratpoly.normalize(rem)
+    if rem:
+        raise DomainError("inexact polynomial division")
+    return ratpoly.normalize(quo)
+
+
 def classical_multiplicity(coeffs, root):
     """Oracle: repeated exact division by (T - root) over the rationals."""
     p = ratpoly.normalize(coeffs)
     m = 0
-    while not ratpoly.is_zero(p) and ratpoly.eval_at(p, root) == 0:
-        p = ratpoly.div_exact(p, [-Fraction(root), Fraction(1)])
+    while p and eval_at(p, root) == 0:
+        p = div_exact(p, [-Fraction(root), Fraction(1)])
         m += 1
     return m
 
