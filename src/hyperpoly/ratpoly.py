@@ -96,10 +96,10 @@ def gcd(p, q) -> list:
     return a if not a or a[-1] > 0 else [-c for c in a]
 
 
-def expand_roots(roots, lead=1) -> list:
-    """lead times the product of (d*T - n) over the roots n/d: the integer
-    multiple of lead * prod (T - r) by the product of the denominators."""
-    p = [lead]
+def expand_roots(roots) -> list:
+    """The product of (d*T - n) over the roots n/d: the integer multiple of
+    prod (T - r) by the product of the denominators."""
+    p = [1]
     for r in roots:
         p = mul(p, [-r.numerator, r.denominator])
     return p

@@ -193,9 +193,7 @@ def eval_function(p: Poly, b) -> Fraction:
     b = _value_of(b)
     if b is INF:
         raise DomainError("eval_function needs a finite argument")
-    den = math.lcm(b.denominator, *(v.denominator for v in p.values() if v is not INF))
-    scaled_b = b.numerator * (den // b.denominator)
-    return Fraction(min(c + i * scaled_b for i, c in _cleared(p.values(), den)), den)
+    return min(v + i * b for i, v in enumerate(p.values()) if v is not INF)
 
 
 def _check_monic_roots(p: Poly, roots) -> list:

@@ -43,6 +43,14 @@ def sympy_sign_counts(coeffs, distinct=False) -> dict:
     return counts
 
 
+def expand_roots(roots, lead=Fraction(1)) -> list:
+    """Expand lead * prod (T - r) over the given roots."""
+    p = [Fraction(lead)]
+    for r in roots:
+        p = ratpoly.mul(p, [-Fraction(r), Fraction(1)])
+    return p
+
+
 def eval_at(p, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -143,7 +151,7 @@ class TestSturmOracle:
         for _ in range(60):
             deg = rng.randint(1, 6)
             roots = [rng.choice(pool) for _ in range(deg)]
-            p = poly(RATIONALS, ratpoly.expand_roots(roots, Fraction(1)))
+            p = poly(RATIONALS, expand_roots(roots, Fraction(1)))
             counts = count_roots_by_sign(p)
             assert counts[1] == sum(1 for r in roots if r > 0)
             assert counts[-1] == sum(1 for r in roots if r < 0)
@@ -154,7 +162,7 @@ class TestSturmOracle:
         for _ in range(40):
             deg = rng.randint(1, 6)
             roots = [rng.choice(pool) for _ in range(deg)]
-            coeffs = ratpoly.expand_roots(roots, Fraction(1))
+            coeffs = expand_roots(roots, Fraction(1))
             if rng.random() < 0.4:
                 coeffs = ratpoly.mul(coeffs, [Fraction(1), Fraction(0), Fraction(1)])
             stripped = list(coeffs)
@@ -167,8 +175,8 @@ class TestSturmOracle:
     def test_yun_recovers_multiplicity_structure(self):
         # (T-1)^2 (T+1) (T-1/2)^3
         coeffs = ratpoly.mul(
-            ratpoly.expand_roots([Fraction(1), Fraction(1), Fraction(-1)]),
-            ratpoly.expand_roots([Fraction(1, 2)] * 3))
+            expand_roots([Fraction(1), Fraction(1), Fraction(-1)]),
+            expand_roots([Fraction(1, 2)] * 3))
         factors = {i: f for f, i in ratpoly.yun_squarefree(coeffs)}
         assert set(factors) == {1, 2, 3}
         # primitive integer factors with a positive leading coefficient
@@ -187,7 +195,7 @@ class TestVerifyDescartes:
 
     def test_inequality_without_hint(self):
         # (T-1)^2 (T^2+1): two positive roots against a bound of four
-        coeffs = ratpoly.mul(ratpoly.expand_roots([Fraction(1), Fraction(1)]),
+        coeffs = ratpoly.mul(expand_roots([Fraction(1), Fraction(1)]),
                              [Fraction(1), Fraction(0), Fraction(1)])
         report = descartes(poly(RATIONALS, coeffs))
         assert report.ok

@@ -38,6 +38,14 @@ from hyperpoly import ratpoly
 RATIONALS = RationalField()
 
 
+def expand_roots(roots, lead=Fraction(1)) -> list:
+    """Expand lead * prod (T - r) over the given roots."""
+    p = [Fraction(lead)]
+    for r in roots:
+        p = ratpoly.mul(p, [-Fraction(r), Fraction(1)])
+    return p
+
+
 def eval_at(p, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -234,7 +242,7 @@ class TestMultiplicity:
         for _ in range(40):
             deg = rng.randint(1, 6)
             roots = [rng.choice(pool) for _ in range(deg)]
-            coeffs = ratpoly.expand_roots(roots, Fraction(rng.choice((1, -1, 2))))
+            coeffs = expand_roots(roots, Fraction(rng.choice((1, -1, 2))))
             p = poly(RATIONALS, coeffs)
             for at in set(roots) | {Fraction(5), Fraction(0)}:
                 rep = multiplicity(p, RATIONALS.element(at))

@@ -25,6 +25,15 @@ from hyperpoly import (
 )
 from hyperpoly import ratpoly
 
+
+def expand_roots(roots, lead=Fraction(1)) -> list:
+    """Expand lead * prod (T - r) over the given roots."""
+    p = [Fraction(lead)]
+    for r in roots:
+        p = ratpoly.mul(p, [-Fraction(r), Fraction(1)])
+    return p
+
+
 HOMS = [sign_hom(), padic_hom(2), padic_hom(3)]
 IDS = [hom.rule for hom in HOMS]
 
@@ -52,7 +61,7 @@ def test_inequality_holds_on_random_polynomials(hom, coeffs):
 @settings(max_examples=40, deadline=None)
 @given(roots=_roots, lead=_leads)
 def test_equality_on_split_polynomials(hom, roots, lead):
-    p = poly(RATIONALS, ratpoly.expand_roots(roots, lead))
+    p = poly(RATIONALS, expand_roots(roots, lead))
     report = verify_pushforward(hom, p, roots)
     assert report.ok and report.split_certified
     assert report.counts == report.bounds
@@ -88,7 +97,7 @@ def test_any_hom_with_hooks_is_served():
     hom = Homomorphism(RATIONALS, KRASNER, lambda x: KRASNER.element(int(x.value != 0)),
                        "support", image_roots=krasner_roots,
                        count_roots=nonzero_real_roots)
-    p = poly(RATIONALS, ratpoly.expand_roots([0, 1, -2, 3], Fraction(2)))
+    p = poly(RATIONALS, expand_roots([0, 1, -2, 3], Fraction(2)))
     report = verify_pushforward(hom, p, [0, 1, -2, 3])
     assert report.ok and report.counts == report.bounds == {0: 1, 1: 3}
 
