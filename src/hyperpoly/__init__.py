@@ -53,7 +53,6 @@ from .instances import (
     quotient_projection,
     sign_hom,
     sign_hyperfield,
-    sign_map,
     weak_sign_hyperfield,
 )
 from .polynomial import (

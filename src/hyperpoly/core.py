@@ -289,9 +289,6 @@ class Hyperfield:
     def elements(self) -> list[Element]:
         return [Element(self, v) for v in self.carrier_values()]
 
-    def sample_elements(self) -> list[Element]:
-        return [Element(self, v) for v in self.sample_values()]
-
     def check_member(self, a: Element) -> None:
         if not isinstance(a, Element) or a.field is not self:
             raise DomainError(f"element {a!r} does not belong to {self.name}")

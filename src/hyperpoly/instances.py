@@ -1,7 +1,9 @@
 """Concrete hyperfields: rationals, prime fields, sign, Krasner, weak sign,
 phase, tropical, and quotients of prime fields by multiplicative subgroups;
-plus hyperfield homomorphisms (sign map, p-adic valuation), with the hooks
-the pushforward harness needs, and their checker.
+plus hyperfield homomorphisms (sign, p-adic valuation, quotient projection,
+value tables), with the hooks the pushforward harness needs, and their
+checker.  A homomorphism maps raw values to raw values; calling it on an
+element checks membership once.
 """
 
 from __future__ import annotations
@@ -600,10 +602,6 @@ class QuotientHyperfield(FiniteHyperfield):
                 add[(a, b)] = frozenset(sums)
         super().__init__(name, reps, 0, 1, mul, add)
 
-    def project(self, residue: int) -> Element:
-        """The coset of a residue, as an element of the quotient."""
-        return Element(self, self.coset_of[residue % self.p])
-
 
 def build_quotient(p: int, generators) -> QuotientHyperfield:
     """Build F_p modulo the subgroup generated by ``generators``.
@@ -656,12 +654,6 @@ def iso_to_named(source: Hyperfield, target: Hyperfield) -> Optional[dict]:
 # -- homomorphisms --------------------------------------------------------------
 
 
-def sign_map(x) -> Element:
-    """The sign of an exact rational, in the sign hyperfield."""
-    x = Fraction(x)
-    return Element(SIGN, 0 if x == 0 else (1 if x > 0 else -1))
-
-
 def padic_ord(n: int, p: int) -> int:
     """Largest k with p^k dividing the nonzero integer n."""
     if n == 0:
@@ -678,20 +670,23 @@ def padic_valuation(x, p: int) -> Element:
     """The p-adic valuation of a rational, as a tropical element; v(0) = inf."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return _valuation(x, p)
+    return Element(TROPICAL, _valuation(Fraction(x), p))
 
 
-def _valuation(x, p: int) -> Element:
-    x = Fraction(x)
+def _valuation(x: Fraction, p: int):
     if x == 0:
-        return Element(TROPICAL, INF)
-    v = padic_ord(x.numerator, p) - padic_ord(x.denominator, p)
-    return Element(TROPICAL, Fraction(v))
+        return INF
+    return Fraction(padic_ord(x.numerator, p) - padic_ord(x.denominator, p))
 
 
 @dataclass(frozen=True)
 class Homomorphism:
     """A map between hyperfields, with the rule it implements.
+
+    ``fn`` maps raw source values to raw target values.  Calling the
+    homomorphism on an element is the boundary: it checks that the element
+    belongs to ``source`` and wraps the image in ``target``; it is the only
+    check, so the kernels apply ``fn`` to raw values directly.
 
     Two optional hooks serve :func:`hyperpoly.pushforward.verify_pushforward`:
     ``image_roots(q)`` maps raw target values to their nonzero multiplicities
@@ -706,14 +701,15 @@ class Homomorphism:
     image_roots: Optional[Callable] = None
     count_roots: Optional[Callable] = None
 
-    def __call__(self, x) -> Element:
-        return self.fn(x)
+    def __call__(self, x: Element) -> Element:
+        self.source.check_member(x)
+        return Element(self.target, self.fn(x.value))
 
 
 def sign_hom() -> Homomorphism:
     from .descartes import count_roots_by_sign, sign_roots
 
-    return Homomorphism(RATIONALS, SIGN, lambda x: sign_map(x.value), "sign",
+    return Homomorphism(RATIONALS, SIGN, lambda x: (x > 0) - (x < 0), "sign",
                         image_roots=sign_roots, count_roots=count_roots_by_sign)
 
 
@@ -722,20 +718,19 @@ def padic_hom(p: int) -> Homomorphism:
 
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return Homomorphism(RATIONALS, TROPICAL, lambda x: _valuation(x.value, p),
+    return Homomorphism(RATIONALS, TROPICAL, lambda x: _valuation(x, p),
                         f"padic:{p}",
                         image_roots=lambda q: dict(Counter(tropical_roots(q).values)))
 
 
 def quotient_projection(q: QuotientHyperfield) -> Homomorphism:
-    return Homomorphism(_prime_field(q.p), q, lambda x: q.project(x.value),
+    return Homomorphism(_prime_field(q.p), q, q.coset_of.__getitem__,
                         f"project:{q.name}")
 
 
 def table_hom(source: Hyperfield, target: Hyperfield, table: dict,
               rule: str = "custom") -> Homomorphism:
-    return Homomorphism(source, target,
-                        lambda x: Element(target, table[x.value]), rule)
+    return Homomorphism(source, target, table.__getitem__, rule)
 
 
 @dataclass
@@ -752,24 +747,26 @@ def check_homomorphism(hom: Homomorphism) -> HomomorphismReport:
     """Verify f(0)=0, f(1)=1, f(ab)=f(a)f(b) and f(a+b) in f(a)+f(b).
 
     Exhaustive when the source carrier is finite, otherwise over the source's
-    deterministic sample grid.
+    deterministic sample grid.  Runs on raw values through ``hom.fn``; each
+    violation names its arguments as source elements.
     """
-    src, tgt = hom.source, hom.target
+    src, tgt, f = hom.source, hom.target, hom.fn
+    if not src.enumerable_sums:
+        raise NonEnumerableError(f"{src.name}: source hypersums are not enumerable")
     violations = []
-    if hom(src.zero()) != tgt.zero():
+    if f(src.zero_value()) != tgt.zero_value():
         violations.append(("f(0)=0", src.zero(), None))
-    if hom(src.one()) != tgt.one():
+    if f(src.one_value()) != tgt.one_value():
         violations.append(("f(1)=1", src.one(), None))
-    elems = src.elements() if src.is_finite() else src.sample_elements()
-    for a, b in itertools.product(elems, repeat=2):
-        fa, fb = hom(a), hom(b)
-        if hom(src.mul(a, b)) != tgt.mul(fa, fb):
-            violations.append(("f(ab)=f(a)f(b)", a, b))
+    for a, b in itertools.product(src.sample_values(), repeat=2):
+        fa, fb = f(a), f(b)
+        if f(src.mul_values(a, b)) != tgt.mul_values(fa, fb):
+            violations.append(("f(ab)=f(a)f(b)", Element(src, a), Element(src, b)))
         # the image of the source hypersum must land inside the target's
-        for s in src.hyperadd(a, b).enumerate():
-            if not tgt.hyperadd(fa, fb).contains(hom(s)):
-                violations.append(("f(a+b) in f(a)+f(b)", a, b))
-                break
+        image_sum = tgt.hyperadd_values(fa, fb)
+        if not all(image_sum.contains_value(f(s))
+                   for s in src.hyperadd_values(a, b).values):
+            violations.append(("f(a+b) in f(a)+f(b)", Element(src, a), Element(src, b)))
     return HomomorphismReport(hom.rule, violations)
 
 
@@ -829,7 +826,10 @@ def parse_homomorphism(spec: str) -> Homomorphism:
             p = int(spec[6:])
         except ValueError:
             raise ParseError(f"bad prime in {spec!r}") from None
-        if not is_prime(p):
-            raise ParseError(f"{p} is not prime")
-        return padic_hom(p)
+        try:
+            return padic_hom(p)
+        except DomainError as exc:
+            if p >= PRIMALITY_LIMIT:  # too large to decide: a domain error
+                raise
+            raise ParseError(str(exc)) from None
     raise ParseError(f"unknown homomorphism spec {spec!r}")

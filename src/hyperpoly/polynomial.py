@@ -209,7 +209,7 @@ class MultReport:
 
     element: Element
     multiplicity: int
-    method: str  # "recursive" | "sign-rule" | "newton-polygon" | "zero-order"
+    method: str  # "recursive" | "newton-polygon" | "zero-order"
     witness: tuple
 
 

@@ -6,7 +6,8 @@ With f = sign this is Descartes' rule of signs; with f = the p-adic
 valuation it is the Newton polygon rule.  :func:`verify_pushforward` checks
 the inequality through the two hooks of
 :class:`~hyperpoly.instances.Homomorphism` and certifies equality when a hint
-lists every root of a split polynomial.
+lists every root of a split polynomial.  f(p) is f's raw map applied to each
+raw coefficient of p.
 """
 
 from __future__ import annotations
@@ -58,19 +59,19 @@ def verify_pushforward(hom: Homomorphism, p: Poly,
         raise DomainError(f"{hom.rule} maps polynomials over {hom.source.name}")
     if p.is_zero():
         raise DomainError("cannot verify the zero polynomial")
-    image = poly(hom.target, [hom(c).value for c in p.coeffs])
+    image = poly(hom.target, map(hom.fn, p.values()))
     bounds = hom.image_roots(image)
     counts = None
     if hom.count_roots is not None:
         counts = {b: n for b, n in hom.count_roots(p).items() if n}
     certified = roots is not None
     if certified:
-        hint = [p.field.element(r) for r in roots]
+        hint = [p.field.validate_value(r) for r in roots]
         coeffs = p.values()
-        expanded = ratpoly.expand_roots([r.value for r in hint])
+        expanded = ratpoly.expand_roots(hint)
         if [c * expanded[-1] for c in coeffs] != [coeffs[-1] * e for e in expanded]:
             raise DomainError("split hint does not expand to the polynomial")
-        hinted = dict(Counter(hom(r).value for r in hint))
+        hinted = dict(Counter(map(hom.fn, hint)))
         counts = hinted if counts is None else counts
     ok = all(n <= bounds.get(b, 0) for b, n in (counts or {}).items())
     if certified:

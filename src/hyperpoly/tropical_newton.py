@@ -26,20 +26,6 @@ from .polynomial import (
 )
 
 
-def _t_add(x, y):
-    if x is INF or y is INF:
-        return INF
-    return x + y
-
-
-def _t_sub(x, y):
-    if y is INF:
-        raise DomainError("cannot divide by the tropical zero")
-    if x is INF:
-        return INF
-    return x - y
-
-
 def _value_of(s):
     if isinstance(s, Element):
         if not isinstance(s.field, TropicalHyperfield):
@@ -159,7 +145,7 @@ def _root_values(roots) -> list:
 def _prefix_sums(sorted_vals) -> list:
     sums = [Fraction(0)]
     for v in sorted_vals:
-        sums.append(_t_add(sums[-1], v))
+        sums.append(TROPICAL.mul_values(sums[-1], v))
     return sums
 
 
@@ -174,7 +160,7 @@ def expand_roots(roots, lead=Fraction(0)) -> Poly:
     lead = _value_of(lead)
     sums = _prefix_sums(vals)
     n = len(vals)
-    coeffs = [_t_add(sums[n - j], lead) for j in range(n + 1)]
+    coeffs = [TROPICAL.mul_values(sums[n - j], lead) for j in range(n + 1)]
     return poly(TROPICAL, coeffs)
 
 
@@ -285,11 +271,11 @@ def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
     d[n - 1] = Fraction(0)
     if k >= 2:
         for i in range(n - 2, n - k, -1):
-            d[i] = min(c[i + 1], _t_add(d[i + 1], a))
+            d[i] = min(c[i + 1], TROPICAL.mul_values(d[i + 1], a))
     if k + m <= n:
-        d[0] = _t_sub(c[0], a)
+        d[0] = TROPICAL.mul_values(c[0], -a)
         for i in range(1, n - k - m + 1):
-            d[i] = _t_sub(min(c[i], d[i - 1]), a)
+            d[i] = TROPICAL.mul_values(min(c[i], d[i - 1]), -a)
     for i in range(n - k - m + 1, n - k + 1):
         if 0 <= i < n:
             d[i] = sums[n - i - 1]
@@ -311,14 +297,14 @@ def mult_tropical(p: Poly, s) -> MultReport:
     s_val = _value_of(s)
     elem = Element(F, s_val)
     lead = p.values()[-1]
-    mp = Poly(F, tuple(_t_sub(v, lead) for v in p.values()))
+    mp = Poly(F, tuple(F.mul_values(v, -lead) for v in p.values()))
     roots = list(tropical_roots(mp).values)
     m = sum(1 for v in roots if v == s_val or (v is INF and s_val is INF))
     chain = []
     cur, cur_scaled, cur_roots = mp, p, list(roots)
     for _ in range(m):
         q = _divide_root(cur, s_val, cur_roots)
-        q_scaled = Poly(F, tuple(_t_add(v, lead) for v in q.values()))
+        q_scaled = Poly(F, tuple(F.mul_values(v, lead) for v in q.values()))
         if not divides_with_quotient(cur_scaled, elem, q_scaled):
             raise AssertionError("tropical witness quotient failed to divide")
         chain.append(q_scaled)

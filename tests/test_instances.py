@@ -12,6 +12,7 @@ from hyperpoly import (
     DomainError,
     FiniteHyperfield,
     KRASNER,
+    NonEnumerableError,
     ParseError,
     PrimeField,
     RationalField,
@@ -28,7 +29,6 @@ from hyperpoly import (
     parse_homomorphism,
     quotient_projection,
     sign_hom,
-    sign_map,
 )
 from hyperpoly import instances
 from hyperpoly.instances import (
@@ -171,10 +171,9 @@ class TestQuotients:
 
 class TestSignMap:
     def test_values(self):
-        assert sign_map(6).value == 1
-        assert sign_map(-7).value == -1
-        assert sign_map(0).value == 0
-        assert sign_map(Fraction(-3, 5)).value == -1
+        sign = sign_hom()
+        for x, s in [(6, 1), (-7, -1), (0, 0), (Fraction(-3, 5), -1)]:
+            assert sign(sign.source.element(x)) == SIGN.element(s)
 
     def test_is_a_homomorphism_on_samples(self):
         assert check_homomorphism(sign_hom()).passed
@@ -232,6 +231,19 @@ class TestHomomorphismChecker:
         ident = Homomorphism(SIGN, SIGN, lambda x: x, "identity")
         assert check_homomorphism(ident).passed
 
+    def test_source_with_infinite_hypersums_is_rejected(self):
+        ident = Homomorphism(TROPICAL, TROPICAL, lambda x: x, "identity")
+        with pytest.raises(NonEnumerableError):
+            check_homomorphism(ident)
+
+    def test_call_checks_membership_in_the_source(self):
+        assert sign_hom()(sign_hom().source.element(-2)) == SIGN.element(-1)
+        with pytest.raises(DomainError, match="does not belong to Q"):
+            sign_hom()(KRASNER.one())
+        projection = quotient_projection(build_quotient(7, [2]))
+        with pytest.raises(DomainError, match="does not belong to Fp:7"):
+            projection(SIGN.element(-1))
+
 
 class TestSpecStrings:
     @pytest.mark.parametrize("spec", ["Q", "S", "K", "W", "P", "T", "Fp:7",
@@ -263,6 +275,22 @@ class TestSpecStrings:
         with pytest.raises(ParseError, match="is not prime"):
             parse_field("Fp:998244351")
         assert calls == [p, 998244351]
+
+    def test_padic_spec_tests_primality_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(instances, "is_prime", counted)
+        assert parse_homomorphism("padic:3").rule == "padic:3"
+        assert calls == [3]
+        with pytest.raises(ParseError, match="4 is not prime"):
+            parse_homomorphism("padic:4")
+        assert calls == [3, 4]
+        with pytest.raises(DomainError, match="too large"):
+            parse_homomorphism(f"padic:{PRIMALITY_LIMIT}")
 
     def test_homomorphism_specs(self):
         assert parse_homomorphism("sign").rule == "sign"

@@ -94,7 +94,7 @@ def test_any_hom_with_hooks_is_served():
         by_sign = count_roots_by_sign(p)
         return {0: by_sign[0], 1: by_sign[1] + by_sign[-1]}
 
-    hom = Homomorphism(RATIONALS, KRASNER, lambda x: KRASNER.element(int(x.value != 0)),
+    hom = Homomorphism(RATIONALS, KRASNER, lambda x: int(x != 0),
                        "support", image_roots=krasner_roots,
                        count_roots=nonzero_real_roots)
     p = poly(RATIONALS, expand_roots([0, 1, -2, 3], Fraction(2)))

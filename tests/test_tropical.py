@@ -30,7 +30,7 @@ from hyperpoly import (
     witness_chain_valid,
 )
 from hyperpoly.pushforward import DEFAULT_PADIC_ROOT_POOL, split_poly_corpus
-from hyperpoly.tropical_newton import _t_add, random_root_multisets
+from hyperpoly.tropical_newton import random_root_multisets
 
 RATIONALS = RationalField()
 
@@ -43,7 +43,7 @@ def brute_symmetric(values, i):
     for combo in itertools.combinations(values, i):
         total = Fraction(0)
         for v in combo:
-            total = _t_add(total, v)
+            total = TROPICAL.mul_values(total, v)
         if best is None or (total is not INF and (best is INF or total < best)):
             best = total
     return best
@@ -280,7 +280,7 @@ class TestMultTropical:
     def test_scaling_invariance(self):
         for ms in random_root_multisets(40, seed=31):
             p = expand_roots(ms)
-            scaled = poly(TROPICAL, [_t_add(v, Fraction(5, 2))
+            scaled = poly(TROPICAL, [TROPICAL.mul_values(v, Fraction(5, 2))
                                      for v in p.values()])
             for s in set(ms.values):
                 assert mult_tropical(p, s).multiplicity == \
