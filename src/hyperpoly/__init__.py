@@ -71,6 +71,7 @@ from .polynomial import (
     poly,
     poly_from_elements,
     quotients,
+    roots,
     witness_chain_valid,
 )
 from .pushforward import (

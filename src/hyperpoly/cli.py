@@ -36,6 +36,7 @@ from .polynomial import (
     parse_poly,
     poly_sort_key,
     quotients,
+    roots,
     split_parts,
 )
 
@@ -85,35 +86,18 @@ def _cmd_axioms(args) -> int:
 def _cmd_roots(args) -> int:
     """The ``roots`` verb, and ``factor``, its form that only accepts T."""
     F = parse_field(args.field)
-    tropical = isinstance(F, TropicalHyperfield)
-    if args.verb == "factor" and not tropical:
+    if args.verb == "factor" and not isinstance(F, TropicalHyperfield):
         raise DomainError("factor is only defined over T")
     p = parse_poly(F, args.poly)
-    if p.is_zero():
-        raise DomainError("the zero polynomial has no well-defined roots")
-    if tropical:
-        ms = tn.tropical_roots(p)
-        values = [F.format_value(v) for v in ms.values]
-        payload = {"field": F.name, "poly": format_poly(p), "roots": values}
-        lines = [f"roots={','.join(values)}"]
-        _emit(args, payload, lines)
-        return 0
-    if not F.is_finite():
-        raise DomainError(f"roots cannot be enumerated over {F.name}")
-    found = []
-    for a in sorted(F.elements(), key=lambda e: F.sort_key(e.value)):
-        rep = multiplicity(p, a)
-        if rep.multiplicity > 0:
-            found.append((a, rep.multiplicity))
-    payload = {
-        "field": F.name,
-        "poly": format_poly(p),
-        "roots": [{"element": F.format_value(a.value), "multiplicity": m}
-                  for a, m in found],
-    }
-    lines = [f"root={F.format_value(a.value)} mult={m}" for a, m in found]
-    if not lines:
-        lines = ["no roots"]
+    found = sorted(roots(p).items(), key=lambda item: F.sort_key(item[0]))
+    payload = {"field": F.name, "poly": format_poly(p)}
+    if F.is_finite():
+        payload["roots"] = [{"element": F.format_value(v), "multiplicity": m}
+                            for v, m in found]
+        lines = [f"root={F.format_value(v)} mult={m}" for v, m in found] or ["no roots"]
+    else:  # the root multiset over T, each value repeated by its multiplicity
+        payload["roots"] = [F.format_value(v) for v, m in found for _ in range(m)]
+        lines = [f"roots={','.join(payload['roots'])}"]
     _emit(args, payload, lines)
     return 0
 
@@ -276,9 +260,9 @@ def _cmd_verify(args) -> int:
             "newton": ((padic_hom(2), padic_hom(3)), pf.DEFAULT_PADIC_ROOT_POOL),
         }[args.what]
         corpus = pf.split_poly_corpus(count, seed, root_pool=pool)
-        for i, (p, roots) in enumerate(corpus):
+        for i, (p, hint) in enumerate(corpus):
             for hom in homs:
-                if not pf.verify_pushforward(hom, p, roots).ok:
+                if not pf.verify_pushforward(hom, p, hint).ok:
                     lines.append(f"case={i} ok=no poly={format_poly(p)} hom={hom.rule}")
     failures = len(lines)
     lines.append(f"what={args.what} cases={count} seed={seed} failures={failures}")

@@ -327,6 +327,10 @@ class Hyperfield:
         closed-form rule of this instance, or None to search quotients."""
         return None
 
+    def rule_roots(self, p):
+        """``p``'s nonzero root multiplicities by raw value in closed form, or None."""
+        return None
+
     def __repr__(self):
         return f"<hyperfield {self.name}>"
 

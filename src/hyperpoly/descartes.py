@@ -1,14 +1,14 @@
 """The sign side of the pushforward inequality: sign changes give the
-multiplicities of 1 and -1 over the sign hyperfield in closed form, and an
-exact Yun/Sturm counter gives the real roots of a rational polynomial by
-sign.  ``sign_hom`` carries both into :mod:`hyperpoly.pushforward`, where
-they make Descartes' rule of signs."""
+multiplicities of 1 and -1 over the sign hyperfield in closed form (its
+``rule_roots``), and an exact Yun/Sturm counter gives the real roots of a
+rational polynomial by sign (``sign_hom``'s ``count_roots``).  Under
+:mod:`hyperpoly.pushforward` the two make Descartes' rule of signs."""
 
 from __future__ import annotations
 
 from . import ratpoly
 from .core import DomainError
-from .instances import SIGN, RationalField
+from .instances import RationalField, SignHyperfield
 from .polynomial import Poly
 
 
@@ -18,7 +18,7 @@ def sign_changes(p: Poly) -> int:
     Pairs of opposite nonzero coefficients separated only by zeros count
     once, which is the same as counting adjacent flips after dropping zeros.
     """
-    if p.field is not SIGN:
+    if not isinstance(p.field, SignHyperfield):
         raise DomainError("sign_changes expects a polynomial over S")
     if p.is_zero():
         raise DomainError("sign_changes is undefined for the zero polynomial")
@@ -31,17 +31,6 @@ def substitute_neg(p: Poly) -> Poly:
     F = p.field
     return Poly(F, tuple(F.neg_value(v) if i % 2 else v
                          for i, v in enumerate(p.values())))
-
-
-def sign_roots(q: Poly) -> dict:
-    """Nonzero multiplicities of 1, -1 and 0 as roots of a sign polynomial.
-
-    The closed form of the sign rule: sign changes of q(T) and q(-T), and
-    the order of q at zero.
-    """
-    zero_order = next(i for i, v in enumerate(q.values()) if v != 0)
-    mults = {1: sign_changes(q), -1: sign_changes(substitute_neg(q)), 0: zero_order}
-    return {b: m for b, m in mults.items() if m}
 
 
 def count_roots_by_sign(p: Poly) -> dict:

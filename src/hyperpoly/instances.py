@@ -1,9 +1,10 @@
 """Concrete hyperfields: rationals, prime fields, sign, Krasner, weak sign,
 phase, tropical, and quotients of prime fields by multiplicative subgroups;
 plus hyperfield homomorphisms (sign, p-adic valuation, quotient projection,
-value tables), with the hooks the pushforward harness needs, and their
-checker.  A homomorphism maps raw values to raw values; calling it on an
-element checks membership once.
+value tables) and their checker.  A homomorphism maps raw values to raw
+values; calling it on an element checks membership once.  ``S`` and ``T``
+give their root multiplicities in closed form, by sign changes and by the
+Newton polygon.
 """
 
 from __future__ import annotations
@@ -171,20 +172,32 @@ def _prime_field(p: int) -> PrimeField:
 # -- small hyperfields given by rule tables -----------------------------------
 
 
-def _table_hyperfield(name, values, zero, one, mul, nonzero_add):
+def _table_hyperfield(name, values, zero, one, mul, nonzero_add, cls=FiniteHyperfield):
     """Assemble full tables from the nonzero hyperaddition rules plus HG1."""
     add = {}
     for x in values:
         add[(zero, x)] = frozenset({x})
     add.update({k: frozenset(v) for k, v in nonzero_add.items()})
-    return FiniteHyperfield(name, values, zero, one, mul, add)
+    return cls(name, values, zero, one, mul, add)
 
 
-def sign_hyperfield() -> FiniteHyperfield:
+class SignHyperfield(FiniteHyperfield):
+    """The sign hyperfield, whose roots Descartes' rule gives in closed form."""
+
+    def rule_roots(self, p):
+        """Sign changes of p(T) and p(-T) give 1 and -1; the order at zero gives 0."""
+        from .descartes import sign_changes, substitute_neg
+
+        zero_order = next(i for i, v in enumerate(p.values()) if v != 0)
+        mults = {1: sign_changes(p), -1: sign_changes(substitute_neg(p)), 0: zero_order}
+        return {b: m for b, m in mults.items() if m}
+
+
+def sign_hyperfield() -> SignHyperfield:
     """Three elements {0, 1, -1}; opposite signs sum to everything."""
     mul = {(x, y): x * y for x in (0, 1, -1) for y in (0, 1, -1)}
     rules = {(1, 1): {1}, (-1, -1): {-1}, (1, -1): {0, 1, -1}}
-    return _table_hyperfield("S", [0, 1, -1], 0, 1, mul, rules)
+    return _table_hyperfield("S", [0, 1, -1], 0, 1, mul, rules, SignHyperfield)
 
 
 def krasner_hyperfield() -> FiniteHyperfield:
@@ -303,7 +316,13 @@ class TropicalHyperfield(Hyperfield):
     def rule_multiplicity(self, p, a):
         from .tropical_newton import mult_tropical
 
-        return mult_tropical(p, a)
+        return mult_tropical(p, a.value)
+
+    def rule_roots(self, p):
+        """The Newton polygon: one root s per unit length of its slope -s."""
+        from .tropical_newton import tropical_roots
+
+        return dict(Counter(tropical_roots(p).values))
 
 
 TROPICAL = TropicalHyperfield()
@@ -688,17 +707,15 @@ class Homomorphism:
     belongs to ``source`` and wraps the image in ``target``; it is the only
     check, so the kernels apply ``fn`` to raw values directly.
 
-    Two optional hooks serve :func:`hyperpoly.pushforward.verify_pushforward`:
-    ``image_roots(q)`` maps raw target values to their nonzero multiplicities
-    as roots of a target polynomial, in closed form, and ``count_roots(p)``
-    gives the classical roots of a source polynomial grouped by image.
+    The optional ``count_roots(p)`` gives the classical roots of a source
+    polynomial grouped by image; :func:`hyperpoly.pushforward.verify_pushforward`
+    checks them against the target's :func:`~hyperpoly.polynomial.roots`.
     """
 
     source: Hyperfield
     target: Hyperfield
     fn: Callable
     rule: str
-    image_roots: Optional[Callable] = None
     count_roots: Optional[Callable] = None
 
     def __call__(self, x: Element) -> Element:
@@ -707,20 +724,16 @@ class Homomorphism:
 
 
 def sign_hom() -> Homomorphism:
-    from .descartes import count_roots_by_sign, sign_roots
+    from .descartes import count_roots_by_sign
 
     return Homomorphism(RATIONALS, SIGN, lambda x: (x > 0) - (x < 0), "sign",
-                        image_roots=sign_roots, count_roots=count_roots_by_sign)
+                        count_roots=count_roots_by_sign)
 
 
 def padic_hom(p: int) -> Homomorphism:
-    from .tropical_newton import tropical_roots
-
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return Homomorphism(RATIONALS, TROPICAL, lambda x: _valuation(x, p),
-                        f"padic:{p}",
-                        image_roots=lambda q: dict(Counter(tropical_roots(q).values)))
+    return Homomorphism(RATIONALS, TROPICAL, lambda x: _valuation(x, p), f"padic:{p}")
 
 
 def quotient_projection(q: QuotientHyperfield) -> Homomorphism:
@@ -730,6 +743,12 @@ def quotient_projection(q: QuotientHyperfield) -> Homomorphism:
 
 def table_hom(source: Hyperfield, target: Hyperfield, table: dict,
               rule: str = "custom") -> Homomorphism:
+    """The map ``table``; a finite source's every value must map into ``target``."""
+    for x in source.carrier_values() if source.is_finite() else ():
+        if x not in table:
+            raise DomainError(f"{rule}: no entry for {source.format_value(x)}")
+        if target.validate_value(table[x]) != table[x]:
+            raise DomainError(f"{rule}: {table[x]!r} is not a value of {target.name}")
     return Homomorphism(source, target, table.__getitem__, rule)
 
 

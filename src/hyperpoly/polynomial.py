@@ -270,6 +270,22 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     return MultReport(a, m, "recursive", tuple(Poly(F, q) for q in chain))
 
 
+def roots(p: Poly) -> dict:
+    """The nonzero root multiplicities of ``p`` by raw value: the instance's
+    ``rule_roots`` (sign changes over ``S``, the Newton polygon over ``T``),
+    else :func:`multiplicity` at each value of a finite carrier."""
+    F = p.field
+    if p.is_zero():
+        raise DomainError("the zero polynomial has no well-defined roots")
+    found = F.rule_roots(p)
+    if found is not None:
+        return found
+    if not F.is_finite():
+        raise NonEnumerableError(f"roots cannot be enumerated over {F.name}")
+    mults = {a.value: multiplicity(p, a).multiplicity for a in F.elements()}
+    return {v: m for v, m in mults.items() if m}
+
+
 def witness_chain_valid(p: Poly, report: MultReport) -> bool:
     """Replay a witness chain through the direct divisibility predicate."""
     if len(report.witness) != report.multiplicity:

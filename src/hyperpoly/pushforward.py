@@ -4,10 +4,10 @@ For a homomorphism f of hyperfields and a polynomial p over its source, the
 roots of p that f sends to b number at most mult_b(f(p)) (Baker-Lorscheid).
 With f = sign this is Descartes' rule of signs; with f = the p-adic
 valuation it is the Newton polygon rule.  :func:`verify_pushforward` checks
-the inequality through the two hooks of
-:class:`~hyperpoly.instances.Homomorphism` and certifies equality when a hint
-lists every root of a split polynomial.  f(p) is f's raw map applied to each
-raw coefficient of p.
+the inequality for any homomorphism whose target has a closed form or a
+finite carrier, and certifies equality when a hint lists every root of a
+split rational polynomial.  f(p) is f's raw map applied to each raw
+coefficient of p.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import ratpoly
+from . import polynomial, ratpoly
 from .core import DomainError
 from .instances import RATIONALS, Homomorphism
 from .polynomial import Poly, poly
@@ -46,26 +46,26 @@ def verify_pushforward(hom: Homomorphism, p: Poly,
     """Check that the roots of p that ``hom`` sends to b number at most
     mult_b(hom(p)), for every b.
 
-    Bounds come from ``hom.image_roots``; counts from ``hom.count_roots``
-    when the hom has a counter, else from ``roots``.  A ``roots`` hint must
+    Bounds are the target's :func:`~hyperpoly.polynomial.roots` of hom(p);
+    counts come from ``hom.count_roots`` when the hom has a counter, else
+    from ``roots``.  A ``roots`` hint is for polynomials over ``Q``; it must
     list every root n/d of p with multiplicity, so that p is a multiple of
-    the integer product of the (d*T - n); it then certifies the
+    the integer product of the (d*T - n).  It then certifies the
     factorization, and the counter, the hint and the bounds must agree.
     """
-    if hom.image_roots is None:
-        raise DomainError(f"{hom.rule}: no closed form for multiplicities "
-                          f"over {hom.target.name}")
-    if not isinstance(p.field, type(hom.source)):
+    if p.field is not hom.source:
         raise DomainError(f"{hom.rule} maps polynomials over {hom.source.name}")
     if p.is_zero():
         raise DomainError("cannot verify the zero polynomial")
     image = poly(hom.target, map(hom.fn, p.values()))
-    bounds = hom.image_roots(image)
+    bounds = polynomial.roots(image)
     counts = None
     if hom.count_roots is not None:
         counts = {b: n for b, n in hom.count_roots(p).items() if n}
     certified = roots is not None
     if certified:
+        if p.field is not RATIONALS:
+            raise DomainError(f"a split hint lists roots over Q, not over {p.field.name}")
         hint = [p.field.validate_value(r) for r in roots]
         coeffs = p.values()
         expanded = ratpoly.expand_roots(hint)

@@ -4,8 +4,9 @@ The lower convex hull of the finite coefficient points determines, slope by
 slope, how many roots a tropical polynomial has at each value; this module
 computes that polygon, factors tropical polynomials into linear parts, and
 checks factorizations both combinatorially and as min-plus functions.  Its
-root multiset is the closed form that ``padic_hom`` hands to
-:mod:`hyperpoly.pushforward`, where it makes the Newton polygon rule.
+root multiset is the closed form of ``T``'s ``rule_roots``, which makes the
+Newton polygon rule under ``padic_hom`` in :mod:`hyperpoly.pushforward`.
+Values are raw tropical values: rationals and ``INF``.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from .polynomial import (
 )
 
 
-def _value_of(s):
-    if isinstance(s, Element):
-        if not isinstance(s.field, TropicalHyperfield):
-            raise DomainError(f"element {s!r} is not tropical")
-        return s.value
-    return TROPICAL.validate_value(s)
-
-
 @dataclass(frozen=True)
 class NewtonSegment:
     slope: Fraction  # the negative of the geometric slope
@@ -47,7 +40,7 @@ class NewtonPolygon:
     inf_prefix: int     # leading coefficients equal to inf
 
     def nu(self, s) -> int:
-        s = _value_of(s)
+        s = TROPICAL.validate_value(s)
         if s is INF:
             return self.inf_prefix
         for seg in self.segments:
@@ -110,16 +103,14 @@ class TropicalRootMultiset:
 
     @classmethod
     def of(cls, items) -> "TropicalRootMultiset":
-        vals = sorted((_value_of(v) for v in items),
-                      key=TROPICAL.sort_key)
+        vals = sorted(map(TROPICAL.validate_value, items), key=TROPICAL.sort_key)
         return cls(tuple(vals))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def count(self, s) -> int:
-        s = _value_of(s)
-        return sum(1 for v in self.values if v == s or (v is INF and s is INF))
+        return self.values.count(TROPICAL.validate_value(s))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(TROPICAL.format_value(v) for v in self.values) + "}"
@@ -139,7 +130,7 @@ def tropical_roots(p: Poly) -> TropicalRootMultiset:
 def _root_values(roots) -> list:
     if isinstance(roots, TropicalRootMultiset):
         return sorted(roots.values, key=TROPICAL.sort_key)
-    return sorted((_value_of(v) for v in roots), key=TROPICAL.sort_key)
+    return sorted(map(TROPICAL.validate_value, roots), key=TROPICAL.sort_key)
 
 
 def _prefix_sums(sorted_vals) -> list:
@@ -149,19 +140,13 @@ def _prefix_sums(sorted_vals) -> list:
     return sums
 
 
-def expand_roots(roots, lead=Fraction(0)) -> Poly:
-    """The canonical polynomial with the given tropical roots.
+def expand_roots(roots) -> Poly:
+    """The monic polynomial with the given tropical roots.
 
     Coefficient c_{n-i} is the i-th tropical elementary symmetric value: the
     sum of the i smallest roots (sorting replaces enumerating all subsets).
-    ``lead`` scales the result tropically; 0 keeps it monic.
     """
-    vals = _root_values(roots)
-    lead = _value_of(lead)
-    sums = _prefix_sums(vals)
-    n = len(vals)
-    coeffs = [TROPICAL.mul_values(sums[n - j], lead) for j in range(n + 1)]
-    return poly(TROPICAL, coeffs)
+    return poly(TROPICAL, reversed(_prefix_sums(_root_values(roots))))
 
 
 def _cleared(values, den) -> list:
@@ -176,7 +161,7 @@ def eval_function(p: Poly, b) -> Fraction:
         raise DomainError("eval_function expects a polynomial over T")
     if p.is_zero():
         raise DomainError("the zero polynomial has no function value")
-    b = _value_of(b)
+    b = TROPICAL.validate_value(b)
     if b is INF:
         raise DomainError("eval_function needs a finite argument")
     return min(v + i * b for i, v in enumerate(p.values()) if v is not INF)
@@ -283,7 +268,7 @@ def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
 
 
 def mult_tropical(p: Poly, s) -> MultReport:
-    """Multiplicity of a tropical value as a root: the polygon length at s.
+    """Multiplicity of a raw tropical value as a root: the polygon length at s.
 
     Also builds a replayable witness chain of successive quotients, each
     checked against the divisibility conditions directly; the recursion
@@ -294,12 +279,12 @@ def mult_tropical(p: Poly, s) -> MultReport:
         raise DomainError("mult_tropical expects a polynomial over T")
     if p.is_zero():
         raise DomainError("multiplicity is undefined for the zero polynomial")
-    s_val = _value_of(s)
+    s_val = TROPICAL.validate_value(s)
     elem = Element(F, s_val)
     lead = p.values()[-1]
     mp = Poly(F, tuple(F.mul_values(v, -lead) for v in p.values()))
     roots = list(tropical_roots(mp).values)
-    m = sum(1 for v in roots if v == s_val or (v is INF and s_val is INF))
+    m = roots.count(s_val)
     chain = []
     cur, cur_scaled, cur_roots = mp, p, list(roots)
     for _ in range(m):

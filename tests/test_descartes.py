@@ -12,20 +12,21 @@ from hypothesis import strategies as st
 
 from hyperpoly import (
     DomainError,
-    RationalField,
+    RATIONALS,
     SIGN,
     count_roots_by_sign,
     multiplicity,
     poly,
+    roots,
     sign_changes,
     sign_hom,
+    sign_hyperfield,
     substitute_neg,
     verify_pushforward,
 )
 from hyperpoly import ratpoly
 from hyperpoly.pushforward import split_poly_corpus
 
-RATIONALS = RationalField()
 X = sympy.Symbol("x")
 
 
@@ -102,6 +103,33 @@ class TestDirectMultiplicities:
             assert sign_changes(p) == multiplicity(p, one, memo=memo).multiplicity
             assert sign_changes(substitute_neg(p)) == \
                 multiplicity(p, minus, memo=memo).multiplicity
+
+
+def search_roots(p, memo) -> dict:
+    """Nonzero multiplicities at 0, 1 and -1 from the quotient search."""
+    F = p.field
+    mults = {v: multiplicity(p, F.element(v), memo=memo).multiplicity for v in (0, 1, -1)}
+    return {v: m for v, m in mults.items() if m}
+
+
+class TestSignRoots:
+    def test_closed_form_matches_search_up_to_degree_six(self):
+        memo, checked = {}, 0
+        for n in range(1, 7):
+            for vec in itertools.product((0, 1, -1), repeat=n):
+                for lead in (1, -1):
+                    p = poly(SIGN, vec + (lead,))
+                    assert roots(p) == search_roots(p, memo), vec + (lead,)
+                    checked += 1
+        assert checked == 2184
+
+    def test_fresh_instance_has_the_closed_form(self):
+        S = sign_hyperfield()
+        assert S is not SIGN
+        for vec in ([1, -1, -1, 1], [0, 0, 1, 1], [-1, 1, 0, -1, 1]):
+            p = poly(S, vec)
+            assert S.rule_roots(p) is not None
+            assert roots(p) == search_roots(p, {})
 
 
 class TestSubstituteNeg:

@@ -244,6 +244,14 @@ class TestHomomorphismChecker:
         with pytest.raises(DomainError, match="does not belong to Fp:7"):
             projection(SIGN.element(-1))
 
+    def test_table_must_cover_the_source_carrier(self):
+        with pytest.raises(DomainError, match="no entry for -1"):
+            check_homomorphism(table_hom(SIGN, SIGN, {0: 0, 1: 1}))
+
+    def test_table_entries_must_be_target_values(self):
+        with pytest.raises(DomainError, match="5 is not an element of S"):
+            check_homomorphism(table_hom(SIGN, SIGN, {0: 0, 1: 1, -1: 5}))
+
 
 class TestSpecStrings:
     @pytest.mark.parametrize("spec", ["Q", "S", "K", "W", "P", "T", "Fp:7",

@@ -1,8 +1,10 @@
 """The pushforward harness: the root inequality under every homomorphism
-that carries the two hooks, equality on split polynomials, and the checks
-that do not depend on which homomorphism is served."""
+whose target has a closed form or a finite carrier, equality on split
+polynomials, and the checks that do not depend on which homomorphism is
+served."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,10 +16,12 @@ from hyperpoly import (
     RATIONALS,
     DomainError,
     Homomorphism,
+    NonEnumerableError,
+    RationalField,
     build_quotient,
     count_roots_by_sign,
-    multiplicity,
     padic_hom,
+    parse_field,
     poly,
     quotient_projection,
     sign_hom,
@@ -86,26 +90,22 @@ def test_hint_must_expand_to_the_polynomial():
 
 def test_any_hom_with_hooks_is_served():
     # Q -> K, x -> (x != 0); multiplicities over K come from the search
-    def krasner_roots(q):
-        mults = {b: multiplicity(q, KRASNER.element(b)).multiplicity for b in (0, 1)}
-        return {b: m for b, m in mults.items() if m}
-
     def nonzero_real_roots(p):
         by_sign = count_roots_by_sign(p)
         return {0: by_sign[0], 1: by_sign[1] + by_sign[-1]}
 
     hom = Homomorphism(RATIONALS, KRASNER, lambda x: int(x != 0),
-                       "support", image_roots=krasner_roots,
-                       count_roots=nonzero_real_roots)
+                       "support", count_roots=nonzero_real_roots)
     p = poly(RATIONALS, expand_roots([0, 1, -2, 3], Fraction(2)))
     report = verify_pushforward(hom, p, [0, 1, -2, 3])
     assert report.ok and report.counts == report.bounds == {0: 1, 1: 3}
 
 
 def test_hom_without_closed_form_is_rejected():
-    hom = quotient_projection(build_quotient(7, [2]))
-    with pytest.raises(DomainError, match="no closed form"):
-        verify_pushforward(hom, poly(hom.source, [1, 1]))
+    # Q has neither a closed form for its roots nor a finite carrier
+    hom = Homomorphism(RATIONALS, RATIONALS, lambda x: x, "id")
+    with pytest.raises(NonEnumerableError, match="cannot be enumerated over Q"):
+        verify_pushforward(hom, poly(RATIONALS, [1, 1]))
 
 
 def test_wrong_source_and_zero_polynomial_are_rejected():
@@ -113,6 +113,70 @@ def test_wrong_source_and_zero_polynomial_are_rejected():
         verify_pushforward(sign_hom(), poly(KRASNER, [1, 1]))
     with pytest.raises(DomainError, match="zero polynomial"):
         verify_pushforward(sign_hom(), poly(RATIONALS, []))
+
+
+def test_source_is_checked_by_instance():
+    projection = quotient_projection(build_quotient(7, [2]))
+    with pytest.raises(DomainError, match="maps polynomials over Fp:7"):
+        verify_pushforward(projection, poly(parse_field("Fp:11"), [10, 1]))
+    with pytest.raises(DomainError, match="maps polynomials over Q"):
+        verify_pushforward(sign_hom(), poly(RationalField(), [1, 1]))
+
+
+def test_projection_bounds_come_from_the_quotient_search():
+    projection = quotient_projection(build_quotient(7, [2]))
+    p = poly(projection.source, [2, 4, 1])  # (T - 1)(T - 2) over F_7
+    assert verify_pushforward(projection, p).bounds == {1: 2, 3: 2}
+
+
+def test_split_hint_needs_a_rational_source():
+    projection = quotient_projection(build_quotient(7, [2]))
+    p = poly(projection.source, [2, 4, 1])
+    with pytest.raises(DomainError, match="roots over Q, not over Fp:7"):
+        verify_pushforward(projection, p, [1, 2])
+
+
+# quotients F_p / G, named by p and generators of G
+QUOTIENTS = [(7, [2]), (7, [6]), (11, [3]), (11, [10]), (13, [3]), (13, [5]), (13, [12])]
+
+
+def classical_roots_by_coset(q):
+    """Roots of a polynomial over F_p with multiplicity, found by repeated
+    synthetic division at every residue, grouped by their coset in ``q``."""
+    def count(p):
+        counts = Counter()
+        for r in range(q.p):
+            c = list(p.values())
+            while len(c) > 1:
+                acc, quotient = 0, []
+                for x in reversed(c):  # Horner, highest coefficient first
+                    acc = (acc * r + x) % q.p
+                    quotient.append(acc)
+                if quotient.pop():  # the remainder p(r)
+                    break
+                c = quotient[::-1]
+                counts[q.coset_of[r]] += 1
+        return dict(counts)
+    return count
+
+
+@st.composite
+def _projected_polys(draw):
+    p, gens = draw(st.sampled_from(QUOTIENTS))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
+                  .filter(lambda c: c[-1] != 0))
+    return p, gens, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_projected_polys())
+def test_projection_inequality_against_brute_force(case):
+    p, gens, coeffs = case
+    q = build_quotient(p, gens)
+    hom = dataclasses.replace(quotient_projection(q),
+                              count_roots=classical_roots_by_coset(q))
+    report = verify_pushforward(hom, poly(hom.source, coeffs))
+    assert report.ok, (report.counts, report.bounds)
 
 
 def test_padic_hom_checks_its_prime_once_built():

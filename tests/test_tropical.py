@@ -10,7 +10,7 @@ import pytest
 from hyperpoly import (
     INF,
     DomainError,
-    RationalField,
+    RATIONALS,
     TROPICAL,
     TropicalRootMultiset,
     eval_function,
@@ -32,7 +32,6 @@ from hyperpoly import (
 from hyperpoly.pushforward import DEFAULT_PADIC_ROOT_POOL, split_poly_corpus
 from hyperpoly.tropical_newton import random_root_multisets
 
-RATIONALS = RationalField()
 
 EXAMPLE = [2, 0, 1, INF, -1, 0]  # degree five, one gap
 
