@@ -81,16 +81,11 @@ from .pushforward import (
 from .tropical_newton import (
     NewtonPolygon,
     NewtonSegment,
-    TropicalRootMultiset,
     eval_function,
     expand_roots,
     functional_equiv,
     in_product,
-    mult_tropical,
     newton_polygon,
-    nu,
-    tropical_roots,
-    tropical_roundtrip_batch,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,7 +4,9 @@ plus hyperfield homomorphisms (sign, p-adic valuation, quotient projection,
 value tables) and their checker.  A homomorphism maps raw values to raw
 values; calling it on an element checks membership once.  ``S`` and ``T``
 give their root multiplicities in closed form, by sign changes and by the
-Newton polygon.
+Newton polygon, through the ``rule_roots`` and ``rule_multiplicity`` hooks
+that :func:`~hyperpoly.polynomial.roots` and
+:func:`~hyperpoly.polynomial.multiplicity` consult.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -316,13 +317,13 @@ class TropicalHyperfield(Hyperfield):
     def rule_multiplicity(self, p, a):
         from .tropical_newton import mult_tropical
 
-        return mult_tropical(p, a.value)
+        return mult_tropical(p, a)
 
     def rule_roots(self, p):
         """The Newton polygon: one root s per unit length of its slope -s."""
-        from .tropical_newton import tropical_roots
+        from .tropical_newton import newton_polygon
 
-        return dict(Counter(tropical_roots(p).values))
+        return newton_polygon(p).roots()
 
 
 TROPICAL = TropicalHyperfield()

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     DomainError,
@@ -213,7 +213,7 @@ class MultReport:
     witness: tuple
 
 
-def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport:
+def multiplicity(p: Poly, a: Element) -> MultReport:
     """Root multiplicity of ``a``: zero for non-roots, else one more than the
     best quotient.
 
@@ -222,8 +222,8 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     closed form (the Newton polygon over ``T``), and other instances without
     enumerable hypersums are rejected.  The search runs on raw values.  The
     witness takes the first quotient in canonical order that attains the
-    maximum; the scan stops once that meets the bound deg - ord_0.
-    ``memo`` may be shared across calls; its keys hold the instance.
+    maximum; the scan stops once that meets the bound deg - ord_0.  The
+    memo lives for one call, so its keys are the raw coefficient tuples.
     """
     F = p.field
     F.check_member(a)
@@ -241,14 +241,11 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
     if not F.enumerable_sums:
         raise NonEnumerableError(
             f"{F.name}: multiplicity away from zero needs finite hypersums")
-    if memo is None:
-        memo = {}
     av = a.value
-    step = {}
+    step, memo = {}, {}
 
     def rec(q: tuple):
-        key = (F, q, av)
-        hit = memo.get(key)
+        hit = memo.get(q)
         if hit is not None:
             return hit
         # mult_a(q) <= deg q - ord_0 q, by the morphism to K
@@ -260,7 +257,7 @@ def multiplicity(p: Poly, a: Element, memo: Optional[dict] = None) -> MultReport
                 best = (m + 1, (cand,) + chain)
                 if best[0] == bound:
                     break
-        memo[key] = best
+        memo[q] = best
         return best
 
     try:

@@ -79,9 +79,9 @@ def verify_pushforward(hom: Homomorphism, p: Poly,
     return PushforwardReport(hom, p, image, bounds, counts, certified, ok)
 
 
-def split_poly_corpus(count: int, seed: int = 0, max_degree: int = 6,
+def split_poly_corpus(count: int, seed: int = 0,
                       root_pool: Sequence = DEFAULT_SPLIT_ROOT_POOL):
-    """Deterministic pseudo-random split rational polynomials.
+    """Deterministic pseudo-random split rational polynomials of degree 1 to 6.
 
     Yields (Poly, sorted root list).  The polynomial is the exact expansion
     of the chosen roots times a small nonzero leading coefficient.
@@ -89,7 +89,7 @@ def split_poly_corpus(count: int, seed: int = 0, max_degree: int = 6,
     rng = random.Random(seed)
     leads = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3))
     for _ in range(count):
-        deg = rng.randint(1, max_degree)
+        deg = rng.randint(1, 6)
         roots = sorted(rng.choice(root_pool) for _ in range(deg))
         lead = rng.choice(leads)
         expanded = ratpoly.expand_roots(roots)

@@ -2,11 +2,15 @@
 
 The lower convex hull of the finite coefficient points determines, slope by
 slope, how many roots a tropical polynomial has at each value; this module
-computes that polygon, factors tropical polynomials into linear parts, and
-checks factorizations both combinatorially and as min-plus functions.  Its
-root multiset is the closed form of ``T``'s ``rule_roots``, which makes the
-Newton polygon rule under ``padic_hom`` in :mod:`hyperpoly.pushforward`.
-Values are raw tropical values: rationals and ``INF``.
+computes that polygon, expands root lists into polynomials, and checks
+factorizations both combinatorially and as min-plus functions.  The
+polygon's :meth:`NewtonPolygon.roots` is the closed form behind ``T``'s
+``rule_roots`` and ``rule_multiplicity``, so read multiplicities through
+:func:`~hyperpoly.polynomial.roots` and
+:func:`~hyperpoly.polynomial.multiplicity`; under ``padic_hom`` in
+:mod:`hyperpoly.pushforward` they make the Newton polygon rule.  Values are
+raw tropical values: rationals and ``INF``; a root list is any iterable of
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .core import INF, DomainError, Element
 from .instances import TROPICAL, TropicalHyperfield
@@ -39,14 +42,13 @@ class NewtonPolygon:
     segments: tuple     # NewtonSegment, slope strictly decreasing
     inf_prefix: int     # leading coefficients equal to inf
 
-    def nu(self, s) -> int:
-        s = TROPICAL.validate_value(s)
-        if s is INF:
-            return self.inf_prefix
-        for seg in self.segments:
-            if seg.slope == s:
-                return seg.length
-        return 0
+    def roots(self) -> dict:
+        """Root multiplicities by raw value, ascending with inf last: each
+        segment of slope -s gives s its length, the inf prefix gives inf."""
+        found = {seg.slope: seg.length for seg in reversed(self.segments)}
+        if self.inf_prefix:
+            found[INF] = self.inf_prefix
+        return found
 
     def plot_data(self) -> str:
         """One "x y" pair per vertex, blank line between segments."""
@@ -86,50 +88,7 @@ def newton_polygon(p: Poly) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), tuple(segments), prefix)
 
 
-def nu(p: Poly, s) -> int:
-    """Horizontal length of the polygon segment of slope -s, else 0.
-
-    For s = inf this is the order of the tropical zero element as a root,
-    i.e. the length of the inf prefix.
-    """
-    return newton_polygon(p).nu(s)
-
-
-@dataclass(frozen=True)
-class TropicalRootMultiset:
-    """The roots of a tropical polynomial, sorted ascending with inf last."""
-
-    values: tuple
-
-    @classmethod
-    def of(cls, items) -> "TropicalRootMultiset":
-        vals = sorted(map(TROPICAL.validate_value, items), key=TROPICAL.sort_key)
-        return cls(tuple(vals))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def count(self, s) -> int:
-        return self.values.count(TROPICAL.validate_value(s))
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(TROPICAL.format_value(v) for v in self.values) + "}"
-
-
-def tropical_roots(p: Poly) -> TropicalRootMultiset:
-    """Roots with multiplicity: each segment of slope -s contributes its
-    horizontal length in copies of s, plus inf for the inf prefix."""
-    npg = newton_polygon(p)
-    vals = []
-    for seg in reversed(npg.segments):
-        vals.extend([seg.slope] * seg.length)
-    vals.extend([INF] * npg.inf_prefix)
-    return TropicalRootMultiset(tuple(vals))
-
-
 def _root_values(roots) -> list:
-    if isinstance(roots, TropicalRootMultiset):
-        return sorted(roots.values, key=TROPICAL.sort_key)
     return sorted(map(TROPICAL.validate_value, roots), key=TROPICAL.sort_key)
 
 
@@ -238,7 +197,8 @@ def functional_equiv(p: Poly, roots) -> bool:
 
 
 def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
-    """One monic quotient q with p in (T + a) q, given p's full root multiset.
+    """One monic quotient q with p in (T + a) q, for a finite root ``a`` of p,
+    given p's full sorted root list.
 
     High coefficients follow the usual synthetic-division minimum, low ones
     its mirror image, and the block spanned by the copies of ``a`` is bridged
@@ -247,8 +207,6 @@ def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
     """
     c = p_monic.values()
     n = len(c) - 1
-    if a is INF:
-        return Poly(TROPICAL, c[1:])
     k = sorted_roots.index(a) + 1
     m = sorted_roots.count(a)
     sums = _prefix_sums(sorted_roots)
@@ -267,57 +225,44 @@ def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
     return poly(TROPICAL, d)
 
 
-def mult_tropical(p: Poly, s) -> MultReport:
-    """Multiplicity of a raw tropical value as a root: the polygon length at s.
+def mult_tropical(p: Poly, a: Element) -> MultReport:
+    """Multiplicity of a finite ``a`` as a root: the polygon length at a.value.
 
-    Also builds a replayable witness chain of successive quotients, each
-    checked against the divisibility conditions directly; the recursion
-    removes one copy of s from the root multiset per step.
+    ``multiplicity`` calls this through ``rule_multiplicity`` once it has
+    checked ``a`` and ``p`` and answered the zero element itself.  Also
+    builds a replayable witness chain of successive quotients, each checked
+    against the divisibility conditions directly; the recursion removes one
+    copy of a.value from the sorted root list per step.
     """
-    F = p.field
-    if not isinstance(F, TropicalHyperfield):
-        raise DomainError("mult_tropical expects a polynomial over T")
-    if p.is_zero():
-        raise DomainError("multiplicity is undefined for the zero polynomial")
-    s_val = TROPICAL.validate_value(s)
-    elem = Element(F, s_val)
+    F, s = p.field, a.value
     lead = p.values()[-1]
     mp = Poly(F, tuple(F.mul_values(v, -lead) for v in p.values()))
-    roots = list(tropical_roots(mp).values)
-    m = roots.count(s_val)
+    found = newton_polygon(mp).roots()
+    m = found.get(s, 0)
     chain = []
-    cur, cur_scaled, cur_roots = mp, p, list(roots)
+    cur, cur_scaled = mp, p
+    cur_roots = [v for v, k in found.items() for _ in range(k)]
     for _ in range(m):
-        q = _divide_root(cur, s_val, cur_roots)
+        q = _divide_root(cur, s, cur_roots)
         q_scaled = Poly(F, tuple(F.mul_values(v, lead) for v in q.values()))
-        if not divides_with_quotient(cur_scaled, elem, q_scaled):
+        if not divides_with_quotient(cur_scaled, a, q_scaled):
             raise AssertionError("tropical witness quotient failed to divide")
         chain.append(q_scaled)
-        cur_roots.remove(s_val)
+        cur_roots.remove(s)
         cur, cur_scaled = q, q_scaled
-    return MultReport(elem, m, "newton-polygon", tuple(chain))
+    return MultReport(a, m, "newton-polygon", tuple(chain))
 
 
-DEFAULT_TROPICAL_ROOT_POOL = (
+TROPICAL_ROOT_POOL = (
     Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3),
     Fraction(1), Fraction(2), INF,
 )
 
 
-def random_root_multisets(count: int, seed: int = 0, max_size: int = 6,
-                          pool: Sequence = DEFAULT_TROPICAL_ROOT_POOL):
-    """Deterministic random tropical root multisets for round-trip checks."""
+def random_root_multisets(count: int, seed: int = 0):
+    """Deterministic random tropical root lists for round-trip checks: sorted
+    tuples of 1 to 6 raw values drawn from ``TROPICAL_ROOT_POOL``."""
     rng = random.Random(seed)
     for _ in range(count):
-        size = rng.randint(1, max_size)
-        yield TropicalRootMultiset.of(rng.choice(pool) for _ in range(size))
-
-
-def tropical_roundtrip_batch(count: int = 500, seed: int = 0) -> list:
-    """(multiset, recovered multiset, in_product, functional_equiv) tuples."""
-    out = []
-    for ms in random_root_multisets(count, seed):
-        p = expand_roots(ms)
-        out.append((ms, tropical_roots(p), in_product(p, ms),
-                    functional_equiv(p, ms)))
-    return out
+        size = rng.randint(1, 6)
+        yield tuple(_root_values(rng.choice(TROPICAL_ROOT_POOL) for _ in range(size)))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hyperpoly import core, parse_field, parse_poly, pushforward
+from hyperpoly import core, parse_field, parse_poly, pushforward, tropical_newton
 from hyperpoly.cli import main
 from hyperpoly.instances import PRIMALITY_LIMIT
 
@@ -189,6 +189,16 @@ class TestVerbs:
             f"case=1 ok=no poly={poly_text} hom=padic:3",
             "what=newton cases=3 seed=0 failures=1",
         ]
+
+    def test_verify_tropical_failure_lists_the_roots(self, capsys, monkeypatch):
+        monkeypatch.setattr(tropical_newton, "in_product", lambda p, roots: False)
+        code, out, _ = run(capsys, "verify", "--what", "tropical", "--cases", "3",
+                           "--seed", "0")
+        assert code == 1
+        assert out == ("case=0 ok=no roots={-2, 0, 1/3, inf}\n"
+                       "case=1 ok=no roots={0, 1/3, 1/3, inf, inf}\n"
+                       "case=2 ok=no roots={-1, 0, 1, 1}\n"
+                       "what=tropical cases=3 seed=0 failures=3\n")
 
     def test_verify_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERPOLY_SEED", "42")

@@ -94,32 +94,30 @@ class TestDirectMultiplicities:
             assert sign_changes(substitute_neg(p)) == 0
 
     def test_matches_recursion_up_to_degree_four(self):
-        memo = {}
         one, minus = SIGN.element(1), SIGN.element(-1)
         for vec in itertools.product((0, 1, -1), repeat=5):
             p = poly(SIGN, vec)
             if p.is_zero():
                 continue
-            assert sign_changes(p) == multiplicity(p, one, memo=memo).multiplicity
-            assert sign_changes(substitute_neg(p)) == \
-                multiplicity(p, minus, memo=memo).multiplicity
+            assert sign_changes(p) == multiplicity(p, one).multiplicity
+            assert sign_changes(substitute_neg(p)) == multiplicity(p, minus).multiplicity
 
 
-def search_roots(p, memo) -> dict:
+def search_roots(p) -> dict:
     """Nonzero multiplicities at 0, 1 and -1 from the quotient search."""
     F = p.field
-    mults = {v: multiplicity(p, F.element(v), memo=memo).multiplicity for v in (0, 1, -1)}
+    mults = {v: multiplicity(p, F.element(v)).multiplicity for v in (0, 1, -1)}
     return {v: m for v, m in mults.items() if m}
 
 
 class TestSignRoots:
     def test_closed_form_matches_search_up_to_degree_six(self):
-        memo, checked = {}, 0
+        checked = 0
         for n in range(1, 7):
             for vec in itertools.product((0, 1, -1), repeat=n):
                 for lead in (1, -1):
                     p = poly(SIGN, vec + (lead,))
-                    assert roots(p) == search_roots(p, memo), vec + (lead,)
+                    assert roots(p) == search_roots(p), vec + (lead,)
                     checked += 1
         assert checked == 2184
 
@@ -129,7 +127,7 @@ class TestSignRoots:
         for vec in ([1, -1, -1, 1], [0, 0, 1, 1], [-1, 1, 0, -1, 1]):
             p = poly(S, vec)
             assert S.rule_roots(p) is not None
-            assert roots(p) == search_roots(p, {})
+            assert roots(p) == search_roots(p)
 
 
 class TestSubstituteNeg:

@@ -249,14 +249,6 @@ class TestMultiplicity:
                 assert rep.multiplicity == classical_multiplicity(coeffs, at)
                 assert witness_chain_valid(p, rep)
 
-    def test_memo_can_be_shared(self):
-        memo = {}
-        p = poly(SIGN, [1, -1, -1, 1])
-        r1 = multiplicity(p, SIGN.element(1), memo=memo)
-        r2 = multiplicity(p, SIGN.element(1), memo=memo)
-        assert r1.multiplicity == r2.multiplicity == 2
-        assert memo
-
 
 class TestPolynomialHyperoperations:
     def test_sign_square_of_monic_linear(self):
@@ -320,12 +312,11 @@ class TestPolynomialHyperoperations:
 
 class TestSignMultiplicitySums:
     def test_sum_of_multiplicities_bounded_by_degree(self):
-        memo = {}
         for vec in itertools.product((0, 1, -1), repeat=6):
             p = poly(SIGN, vec)
             if p.is_zero():
                 continue
-            total = sum(multiplicity(p, a, memo=memo).multiplicity
+            total = sum(multiplicity(p, a).multiplicity
                         for a in SIGN.elements())
             assert total <= p.degree
 

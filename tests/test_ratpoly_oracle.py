@@ -248,17 +248,17 @@ def test_integer_hint_check_accepts_what_the_rational_expansion_accepts(
 
 # -- min-plus functions ---------------------------------------------------------
 
-_tropical_roots = st.one_of(st.builds(Fraction, st.integers(-14, 14), st.integers(2, 7)),
+_tropical_values = st.one_of(st.builds(Fraction, st.integers(-14, 14), st.integers(2, 7)),
                             st.just(INF))
 
 
 @settings(max_examples=200, deadline=None)
-@given(roots=st.lists(_tropical_roots, min_size=1, max_size=7), data=st.data())
+@given(roots=st.lists(_tropical_values, min_size=1, max_size=7), data=st.data())
 def test_functional_equiv_matches_the_rational_reference(roots, data):
     vals = list(expand_roots(roots).values())
     if data.draw(st.booleans()) and len(vals) > 1:
         j = data.draw(st.integers(0, len(vals) - 2))
-        delta = data.draw(_tropical_roots)
+        delta = data.draw(_tropical_values)
         vals[j] = delta if vals[j] is INF or delta is INF else vals[j] + delta
     p = poly(TROPICAL, vals)
     assert functional_equiv(p, roots) == ref_functional_equiv(p, roots)

@@ -3,29 +3,28 @@ polygon rule against p-adic valuations under the pushforward harness."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     INF,
     DomainError,
     RATIONALS,
     TROPICAL,
-    TropicalRootMultiset,
     eval_function,
     expand_roots,
     functional_equiv,
     in_product,
-    mult_tropical,
     multiplicity,
     newton_polygon,
-    nu,
     padic_hom,
     padic_valuation,
     poly,
-    tropical_roots,
-    tropical_roundtrip_batch,
+    roots,
     verify_pushforward,
     witness_chain_valid,
 )
@@ -34,6 +33,15 @@ from hyperpoly.tropical_newton import random_root_multisets
 
 
 EXAMPLE = [2, 0, 1, INF, -1, 0]  # degree five, one gap
+
+
+def root_list(p):
+    """The roots of p, each repeated by its multiplicity."""
+    return list(Counter(roots(p)).elements())
+
+
+def mult(p, s):
+    return multiplicity(p, TROPICAL.element(s))
 
 
 def brute_symmetric(values, i):
@@ -86,6 +94,11 @@ class TestNewtonPolygon:
             assert sum(s.length for s in npg.segments) == \
                 p.degree - npg.inf_prefix
 
+    def test_roots_ascend_with_inf_last(self):
+        npg = newton_polygon(poly(TROPICAL, [INF, 2, 0, 1, INF, -1, 0]))
+        assert list(npg.roots().items()) == \
+            [(Fraction(-1), 1), (Fraction(1, 3), 3), (Fraction(2), 1), (INF, 1)]
+
     def test_plot_data_format(self):
         data = newton_polygon(poly(TROPICAL, EXAMPLE)).plot_data()
         blocks = data.strip().split("\n\n")
@@ -94,39 +107,31 @@ class TestNewtonPolygon:
 
 
 class TestNu:
+    """The segment length of slope -s, read off the ``roots(p)`` dict."""
+
     def test_worked_example(self):
-        p = poly(TROPICAL, EXAMPLE)
-        assert nu(p, 2) == 1
-        assert nu(p, Fraction(1, 3)) == 3
-        assert nu(p, -1) == 1
-        assert nu(p, 5) == 0
-        assert nu(p, Fraction(1, 2)) == 0
-        assert nu(p, INF) == 0
+        assert roots(poly(TROPICAL, EXAMPLE)) == \
+            {Fraction(2): 1, Fraction(1, 3): 3, Fraction(-1): 1}
 
     def test_inf_counts_the_prefix(self):
-        assert nu(poly(TROPICAL, [INF, INF, 0]), INF) == 2
+        assert roots(poly(TROPICAL, [INF, INF, 0])) == {INF: 2}
 
     def test_total_mass_is_the_degree(self):
         for ms in random_root_multisets(60, seed=4):
             p = expand_roots(ms)
-            slopes = {s.slope for s in newton_polygon(p).segments}
-            total = sum(nu(p, s) for s in slopes) + nu(p, INF)
-            assert total == p.degree
+            assert sum(roots(p).values()) == p.degree
 
 
 class TestTropicalRoots:
     def test_worked_example(self):
-        ms = tropical_roots(poly(TROPICAL, EXAMPLE))
-        assert ms == TropicalRootMultiset.of([2, Fraction(1, 3), Fraction(1, 3),
-                                              Fraction(1, 3), -1])
+        assert roots(poly(TROPICAL, EXAMPLE)) == \
+            Counter([2, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), -1])
 
     def test_product_of_two_linear_factors(self):
-        assert tropical_roots(poly(TROPICAL, [11, 4, 0])) == \
-            TropicalRootMultiset.of([4, 7])
+        assert roots(poly(TROPICAL, [11, 4, 0])) == Counter([4, 7])
 
     def test_pure_power_of_t(self):
-        assert tropical_roots(poly(TROPICAL, [INF, INF, 0])) == \
-            TropicalRootMultiset.of([INF, INF])
+        assert roots(poly(TROPICAL, [INF, INF, 0])) == Counter([INF, INF])
 
     def test_expansion_uses_sorted_prefix_sums(self):
         rng = random.Random(17)
@@ -142,7 +147,7 @@ class TestTropicalRoots:
 
     def test_roundtrip_through_expansion(self):
         for ms in random_root_multisets(150, seed=2):
-            assert tropical_roots(expand_roots(ms)) == ms
+            assert roots(expand_roots(ms)) == Counter(ms)
 
 
 class TestEvalFunction:
@@ -166,7 +171,7 @@ class TestEvalFunction:
 class TestInProduct:
     def test_worked_examples(self):
         p = poly(TROPICAL, EXAMPLE)
-        assert in_product(p, tropical_roots(p))
+        assert in_product(p, root_list(p))
         assert in_product(poly(TROPICAL, [11, 4, 0]), [4, 7])
         assert not in_product(poly(TROPICAL, [11, 4, 0]), [4, 8])
 
@@ -205,15 +210,15 @@ class TestInProduct:
 class TestFunctionalEquivalence:
     def test_worked_examples(self):
         p = poly(TROPICAL, EXAMPLE)
-        assert functional_equiv(p, tropical_roots(p))
+        assert functional_equiv(p, root_list(p))
         assert functional_equiv(poly(TROPICAL, [11, 4, 0]), [4, 7])
         assert not functional_equiv(poly(TROPICAL, [11, 3, 0]), [4, 7])
 
     def test_agreement_with_in_product_on_corpus(self):
-        results = tropical_roundtrip_batch(count=200, seed=3)
-        for ms, back, inp, feq in results:
-            assert ms == back
-            assert inp and feq
+        for ms in random_root_multisets(200, seed=3):
+            p = expand_roots(ms)
+            assert roots(p) == Counter(ms)
+            assert in_product(p, ms) and functional_equiv(p, ms)
 
     def test_agreement_on_perturbed_negatives(self):
         rng = random.Random(23)
@@ -245,21 +250,18 @@ class TestFunctionalEquivalence:
 class TestMultTropical:
     def test_worked_example_with_chain(self):
         p = poly(TROPICAL, EXAMPLE)
-        rep = mult_tropical(p, Fraction(1, 3))
+        rep = mult(p, Fraction(1, 3))
         assert rep.multiplicity == 3
         assert rep.method == "newton-polygon"
         assert len(rep.witness) == 3
         assert witness_chain_valid(p, rep)
-        assert mult_tropical(p, 5).multiplicity == 0
-        assert mult_tropical(p, 2).multiplicity == 1
+        assert mult(p, 5).multiplicity == 0
+        assert mult(p, 2).multiplicity == 1
 
     def test_inf_root_order(self):
+        # the zero element never reaches the polygon: it is the order at zero
         p = poly(TROPICAL, [INF, INF, 0])
-        rep = mult_tropical(p, INF)
-        assert rep.multiplicity == 2
-        assert witness_chain_valid(p, rep)
-        # the generic entry point takes the zero-element shortcut instead
-        generic = multiplicity(p, TROPICAL.element(INF))
+        generic = mult(p, INF)
         assert generic.multiplicity == 2
         assert generic.method == "zero-order"
         assert witness_chain_valid(p, generic)
@@ -268,11 +270,11 @@ class TestMultTropical:
         # A raised unforced coefficient: the witness must follow the actual
         # coefficients, not the canonical expansion.
         p = poly(TROPICAL, [5, 2, 2, 0])
-        rep = mult_tropical(p, 3)
+        rep = mult(p, 3)
         assert rep.multiplicity == 1
         assert rep.witness[0].values() == (Fraction(2), Fraction(2), Fraction(0))
         assert witness_chain_valid(p, rep)
-        rep2 = mult_tropical(p, 1)
+        rep2 = mult(p, 1)
         assert rep2.multiplicity == 2
         assert witness_chain_valid(p, rep2)
 
@@ -281,19 +283,44 @@ class TestMultTropical:
             p = expand_roots(ms)
             scaled = poly(TROPICAL, [TROPICAL.mul_values(v, Fraction(5, 2))
                                      for v in p.values()])
-            for s in set(ms.values):
-                assert mult_tropical(p, s).multiplicity == \
-                    mult_tropical(scaled, s).multiplicity
-            rep = mult_tropical(scaled, ms.values[0])
+            for s in set(ms):
+                assert mult(p, s).multiplicity == mult(scaled, s).multiplicity
+            rep = mult(scaled, ms[0])
             assert witness_chain_valid(scaled, rep)
 
     def test_chains_replay_on_random_corpus(self):
         for ms in random_root_multisets(60, seed=12):
             p = expand_roots(ms)
-            for s in set(ms.values):
-                rep = mult_tropical(p, s)
+            for s in set(ms):
+                rep = mult(p, s)
                 assert rep.multiplicity == ms.count(s)
                 assert witness_chain_valid(p, rep)
+
+
+# arbitrary coefficient vectors, not only expansions of root lists: raised
+# and infinite coefficients, inf prefixes and non-monic leads all occur
+_tropical_values = st.one_of(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+                             st.just(INF))
+_tropical_coeffs = st.lists(_tropical_values, min_size=1, max_size=7).filter(
+    lambda c: c[-1] is not INF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=_tropical_coeffs)
+def test_roots_and_multiplicity_agree_on_any_polynomial(coeffs):
+    p = poly(TROPICAL, coeffs)
+    found = roots(p)
+    assert sum(found.values()) == p.degree
+    for s, m in found.items():
+        rep = mult(p, s)
+        assert rep.multiplicity == m
+        assert witness_chain_valid(p, rep)
+    finite = sorted(s for s in found if s is not INF)
+    for a, b in zip(finite, finite[1:]):
+        assert mult(p, (a + b) / 2).multiplicity == 0
+    if finite:
+        assert mult(p, finite[0] - 1).multiplicity == 0
+        assert mult(p, finite[-1] + 1).multiplicity == 0
 
 
 def newton_rule_verify(p, prime, split_hint=None):
