@@ -20,7 +20,7 @@ from .core import (
     HyperSet,
     NonEnumerableError,
     ParseError,
-    PhaseUnion,
+    PhaseArc,
     TropicalRay,
     check_axioms,
 )

@@ -101,9 +101,6 @@ class HyperSet:
     def enumerate(self) -> list[Element]:
         raise NotImplementedError
 
-    def is_finite(self) -> bool:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FiniteSet(HyperSet):
@@ -118,9 +115,6 @@ class FiniteSet(HyperSet):
     def enumerate(self) -> list[Element]:
         ordered = sorted(self.values, key=self.field.sort_key)
         return [Element(self.field, v) for v in ordered]
-
-    def is_finite(self) -> bool:
-        return True
 
     def __repr__(self) -> str:
         inner = ", ".join(self.field.format_value(v)
@@ -141,48 +135,36 @@ class TropicalRay(HyperSet):
     def enumerate(self) -> list[Element]:
         raise NonEnumerableError(f"tropical ray [{self.lower}, inf] is infinite")
 
-    def is_finite(self) -> bool:
-        return False
-
     def __repr__(self) -> str:
         return f"[{self.lower}, inf]"
 
 
 @dataclass(frozen=True)
-class PhaseUnion(HyperSet):
-    """A union of open arcs and isolated points on the unit circle.
+class PhaseArc(HyperSet):
+    """The open arc ``lo < q < lo + length`` of phase angles, in units of pi.
 
-    Angles are exact rationals in units of pi, reduced to [0, 2).  An arc
-    ``(lo, hi)`` means the open arc swept counterclockwise from ``lo`` to
-    ``hi``; ``hi`` may exceed 2 when the arc wraps.  The stored form is
-    canonical: arcs are pairwise disjoint, each shorter than pi, and points
-    never sit inside an arc, so structural equality is set equality.
+    ``0 <= lo < 2`` and ``0 < length <= 1``; ``length`` 2 with ``lo`` 0
+    stands for every angle together with zero.  Points, antipodal triples
+    and ``{0}`` are :class:`FiniteSet` values, so each set has exactly one
+    representation and ``==`` is set equality.
     """
 
     field: "Hyperfield"
-    has_zero: bool
-    arcs: tuple  # ((lo, hi), ...) with 0 <= lo < 2 and lo < hi < lo + 1
-    points: frozenset  # angles in [0, 2)
+    lo: Fraction
+    length: Fraction
 
     def contains_value(self, q) -> bool:
-        if q is None:
-            return self.has_zero
-        if q in self.points:
+        if self.length == 2:
             return True
-        return any(0 < (q - lo) % 2 < hi - lo for lo, hi in self.arcs)
+        return q is not None and 0 < (q - self.lo) % 2 < self.length
 
     def enumerate(self) -> list[Element]:
         raise NonEnumerableError("phase arcs are infinite")
 
-    def is_finite(self) -> bool:
-        return False
-
     def __repr__(self) -> str:
-        parts = [f"({lo},{hi % 2})" for lo, hi in self.arcs]
-        parts += sorted(f"pt {q}" for q in self.points)
-        if self.has_zero:
-            parts.insert(0, "zero")
-        return "{" + ", ".join(parts) + "}"
+        if self.length == 2:
+            return "{zero, every angle}"
+        return f"({self.lo},{(self.lo + self.length) % 2})"
 
 
 class Hyperfield:
@@ -258,7 +240,10 @@ class Hyperfield:
         return acc
 
     def scale_set_value(self, a, s: HyperSet) -> HyperSet:
-        """The set ``a * s``, elementwise; default needs ``s`` finite."""
+        """The set ``a * s``: ``{0}`` for ``a = 0``, else elementwise, which
+        by default needs ``s`` finite."""
+        if a == self.zero_value():
+            return FiniteSet(self, frozenset({a}))
         if not isinstance(s, FiniteSet):
             raise NonEnumerableError(f"{self.name}: cannot scale {s!r}")
         return FiniteSet(self, frozenset(self.mul_values(a, x)
@@ -654,11 +639,7 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def gen_distributive():
         for a, b, c in itertools.product(scalars, vals, vals):
-            bc = add(b, c)
-            if a == zero:
-                left: HyperSet = FiniteSet(F, frozenset({zero}))
-            else:
-                left = F.scale_set_value(a, bc)
+            left = F.scale_set_value(a, add(b, c))
             right = add(F.mul_values(a, b), F.mul_values(a, c))
             if left != right:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"

@@ -28,7 +28,7 @@ from .core import (
     HyperSet,
     NonEnumerableError,
     ParseError,
-    PhaseUnion,
+    PhaseArc,
     TropicalRay,
     unit_powers,
 )
@@ -226,10 +226,11 @@ class TropicalHyperfield(Hyperfield):
     """Min-plus arithmetic on the extended rationals.
 
     The neutral element of hyperaddition is ``inf``; multiplication is real
-    addition.  ``a + a`` is the ray ``[a, inf]``, so an n-ary hypersum is a
-    singleton when the minimum is attained once among the finite terms, a
-    ray when it is attained at least twice, ``{inf}`` when every term is
-    ``inf``.
+    addition.  ``a + a`` is the ray ``[a, inf]``, so every hypersum is one
+    value or one ray: ``{min}`` when the minimum of the finite terms is
+    attained once, the ray ``[min, inf]`` when it is attained at least
+    twice, ``{inf}`` when every term is ``inf``.  Adding ``c`` to a hypersum
+    needs only that closed form.
     """
 
     name = "T"
@@ -280,27 +281,17 @@ class TropicalHyperfield(Hyperfield):
     def add_set_value(self, s: HyperSet, c) -> HyperSet:
         if isinstance(s, TropicalRay):
             if c is INF or c >= s.lower:
-                return TropicalRay(self, s.lower)
+                return s
             return FiniteSet(self, frozenset({c}))
-        rays = []
-        finite = set()
-        for v in s.values:
-            r = self.hyperadd_values(v, c)
-            if isinstance(r, TropicalRay):
-                rays.append(r.lower)
-            else:
-                finite |= r.values
-        if not rays:
-            return FiniteSet(self, frozenset(finite))
-        low = min(rays)
-        if all(v is INF or v >= low for v in finite):
-            return TropicalRay(self, low)
-        raise DomainError("tropical union is neither finite nor a ray")
+        if isinstance(s, FiniteSet) and len(s.values) == 1:
+            (v,) = s.values
+            return self.hyperadd_values(v, c)
+        raise DomainError(f"{s!r} is not a tropical hypersum")
 
     def scale_set_value(self, a, s: HyperSet) -> HyperSet:
-        if isinstance(s, TropicalRay):
+        if isinstance(s, TropicalRay) and a is not INF:
             return TropicalRay(self, s.lower + a)
-        return FiniteSet(self, frozenset(self.mul_values(a, v) for v in s.values))
+        return super().scale_set_value(a, s)
 
     def format_value(self, v) -> str:
         return "inf" if v is INF else str(v)
@@ -335,123 +326,13 @@ TROPICAL = TropicalHyperfield()
 # the additive zero is the value None.
 
 
-def _phase_full(field, has_zero: bool) -> PhaseUnion:
-    third = Fraction(2, 3)
-    arcs = ((Fraction(0), third), (third, 2 * third), (2 * third, Fraction(2)))
-    return PhaseUnion(field, has_zero, arcs, frozenset({Fraction(0), third, 2 * third}))
-
-
-def phase_canonical(field, has_zero, raw_arcs, raw_points):
-    """Canonicalize a union of open arcs and points on the circle.
-
-    ``raw_arcs`` are (lo, hi) pairs with positive length; anything of length
-    two or more is the whole circle.  The output is a :class:`PhaseUnion` in
-    canonical form, or a :class:`FiniteSet` when no arc survives, so equal
-    sets always compare equal.
-    """
-    arcs = []
-    for lo, hi in raw_arcs:
-        length = hi - lo
-        if length <= 0:
-            continue
-        if length >= 2:
-            return _phase_full(field, has_zero)
-        arcs.append((lo % 2, length))
-    points = {Fraction(q) % 2 for q in raw_points}
-
-    if not arcs:
-        values = set(points)
-        if has_zero:
-            values.add(None)
-        return FiniteSet(field, frozenset(values))
-
-    def member(q) -> bool:
-        qm = q % 2
-        if qm in points:
-            return True
-        return any(0 < (qm - lo) % 2 < ln for lo, ln in arcs)
-
-    crit = sorted({lo for lo, _ in arcs}
-                  | {(lo + ln) % 2 for lo, ln in arcs}
-                  | points)
-    m = len(crit)
-    gap_hi = [crit[i + 1] if i + 1 < m else crit[0] + 2 for i in range(m)]
-    # Items alternate around the circle: point crit[i], then gap (crit[i], gap_hi[i]).
-    items = []
-    for i in range(m):
-        items.append(("pt", crit[i], crit[i], member(crit[i])))
-        mid = (crit[i] + gap_hi[i]) / 2
-        items.append(("gap", crit[i], gap_hi[i], member(mid)))
-    if all(it[3] for it in items):
-        return _phase_full(field, has_zero)
-
-    start = next(i for i, it in enumerate(items) if not it[3])
-    order = items[start + 1:] + items[:start + 1]
-    out_arcs = []
-    out_points = set()
-
-    def emit(run):
-        s = run[0][1]
-        e = s
-        for kind, lo, hi, _ in run:
-            if kind == "gap":
-                e += hi - lo
-        if s == e:
-            out_points.add(s % 2)
-            return
-        if run[0][0] == "pt":
-            out_points.add(s % 2)
-        if run[-1][0] == "pt":
-            out_points.add(e % 2)
-        length = e - s
-        pieces = 1 if length < 1 else (2 if length < 2 else 3)
-        step = length / pieces
-        for j in range(pieces):
-            a = s + j * step
-            out_arcs.append((a % 2, a % 2 + step))
-            if j > 0:
-                out_points.add(a % 2)
-
-    run = []
-    for it in order:
-        if it[3]:
-            run.append(it)
-        else:
-            if run:
-                emit(run)
-            run = []
-    if run:
-        emit(run)
-
-    if not out_arcs:
-        values = set(out_points)
-        if has_zero:
-            values.add(None)
-        return FiniteSet(field, frozenset(values))
-    return PhaseUnion(field, has_zero, tuple(sorted(out_arcs)), frozenset(out_points))
-
-
-def _arc_plus_point(alpha, beta, gamma):
-    """Pieces of ``{b + g : b in the open arc (alpha, beta)}`` for a point g.
-
-    Derived from the quotient model C / R_{>0}: the arc is an open convex
-    cone of angle < pi, the point a ray, and the Minkowski sum projects back
-    to arcs.  Returns (has_zero, list-of-arcs); the whole circle appears when
-    the antipode of g lies inside the arc.
-    """
-    g = alpha + ((gamma - alpha) % 2)
-    if g <= beta:
-        return False, [(alpha, beta)]
-    if g <= alpha + 1:
-        return False, [(alpha, g)]
-    if g < beta + 1:
-        return True, [(Fraction(0), Fraction(2))]
-    return False, [(g - 2, beta)]
-
-
 class PhaseHyperfield(Hyperfield):
-    """The unit circle plus zero; hypersums are minor arcs or antipodal triples.
+    """The unit circle plus zero, the quotient ``C/R>0``.
 
+    A hypersum is the set of directions of the strictly positive
+    combinations of its terms: the relative interior of the convex cone
+    they span.  So it is ``{0}``, a point, an antipodal pair with zero
+    ``{0, a, -a}``, one open arc of at most pi, or every angle with zero.
     The sum of equal arguments is the singleton ``{a}``: in the quotient model
     the open ray of ``a`` is closed under addition.  That convention is not
     part of the instance's rule list and is surfaced in the axiom report.
@@ -500,52 +381,50 @@ class PhaseHyperfield(Hyperfield):
         return (-x) % 2
 
     def hyperadd_values(self, x, y) -> HyperSet:
-        if x is None:
-            return FiniteSet(self, frozenset({y}))
-        if y is None:
-            return FiniteSet(self, frozenset({x}))
-        if x == y:
-            return FiniteSet(self, frozenset({x}))
-        d = (y - x) % 2
-        if d == 1:
-            return FiniteSet(self, frozenset({None, x, y}))
-        if d < 1:
-            return phase_canonical(self, False, [(x, x + d)], [])
-        return phase_canonical(self, False, [(y, y + (2 - d))], [])
-
-    def _pieces(self, s: HyperSet):
-        """Decompose a hyperset into (has_zero, arcs, point angles)."""
-        if isinstance(s, FiniteSet):
-            return (None in s.values, [],
-                    [v for v in s.values if v is not None])
-        if isinstance(s, PhaseUnion):
-            return s.has_zero, list(s.arcs), list(s.points)
-        raise DomainError("not a phase hyperset")
+        return self.add_set_value(FiniteSet(self, frozenset({x})), y)
 
     def add_set_value(self, s: HyperSet, c) -> HyperSet:
-        zero_in, arcs, pts = self._pieces(s)
+        """Widen the cone of the hypersum ``s`` by the direction ``c``.
+
+        The cone is the closed arc ``[lo, lo + width]`` of the directions of
+        the terms of ``s``; an antipodal pair alone spans a line, a cone with
+        no side, and each direction off it gives the open half circle on its
+        side.
+        """
+        line = False
+        if isinstance(s, PhaseArc):
+            lo, width = s.lo, s.length
+        else:
+            vals = sorted(s.values, key=self.sort_key) if isinstance(s, FiniteSet) else []
+            if vals == [None]:
+                return FiniteSet(self, frozenset({c}))
+            line = len(vals) == 3 and vals[0] is None and vals[2] - vals[1] == 1
+            if not (line or len(vals) == 1):
+                raise DomainError(f"{s!r} is not a phase hypersum")
+            lo, width = vals[-1], 0
         if c is None:
             return s
-        out_zero = False
-        out_arcs = []
-        out_pts = []
-        if zero_in:
-            out_pts.append(c)
-        for q in pts:
-            z, a, p = self._pieces(self.hyperadd_values(q, c))
-            out_zero |= z
-            out_arcs += a
-            out_pts += p
-        for lo, hi in arcs:
-            z, a = _arc_plus_point(lo, hi, c)
-            out_zero |= z
-            out_arcs += a
-        return phase_canonical(self, out_zero, out_arcs, out_pts)
+        g = (c - lo) % 2  # how far c lies past lo, counterclockwise
+        if line:
+            if g % 1 == 0:
+                return s
+            return PhaseArc(self, lo if g < 1 else (lo + 1) % 2, Fraction(1))
+        if g <= width:
+            return s
+        if g == 1 and width == 0:
+            return FiniteSet(self, frozenset({None, lo, c}))
+        if g <= 1:
+            return PhaseArc(self, lo, g)
+        if g >= 1 + width:
+            return PhaseArc(self, c, width + 2 - g)
+        return PhaseArc(self, Fraction(0), Fraction(2))
 
     def scale_set_value(self, a, s: HyperSet) -> HyperSet:
-        zero_in, arcs, pts = self._pieces(s)
-        rotated = [(lo + a, hi + a) for lo, hi in arcs]
-        return phase_canonical(self, zero_in, rotated, [(q + a) % 2 for q in pts])
+        if isinstance(s, PhaseArc) and a is not None:
+            if s.length == 2:
+                return s
+            return PhaseArc(self, (s.lo + a) % 2, s.length)
+        return super().scale_set_value(a, s)
 
     def format_value(self, v) -> str:
         return "zero" if v is None else str(v)

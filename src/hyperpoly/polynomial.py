@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 from .core import (
     DomainError,
     Element,
+    FiniteSet,
     Hyperfield,
     HyperSet,
     NonEnumerableError,
@@ -300,7 +301,7 @@ def witness_chain_valid(p: Poly, report: MultReport) -> bool:
 
 def _choices(F: Hyperfield, sums: list) -> frozenset:
     """Every polynomial whose i-th coefficient is chosen from ``sums[i]``."""
-    if not all(s.is_finite() for s in sums):
+    if not all(isinstance(s, FiniteSet) for s in sums):
         raise NonEnumerableError(
             "polynomial hyperoperations need finitely enumerable hypersums")
     return frozenset(_normalized(F, list(combo))

@@ -74,6 +74,14 @@ class TestInstanceRules:
         for v in (Fraction(5), Fraction(-1, 2), INF):
             assert TROPICAL.neg(TROPICAL.element(v)).value == v
 
+    @pytest.mark.parametrize("field, s", [
+        (PHASE, PHASE.hyperadd_values(Fraction(0), Fraction(1, 2))),
+        (TROPICAL, TROPICAL.hyperadd_values(Fraction(1), Fraction(1))),
+    ], ids=["P-arc", "T-ray"])
+    def test_zero_times_an_infinite_sum_is_zero(self, field, s):
+        assert field.scale_set_value(field.zero_value(), s) == \
+            fset(field, field.zero_value())
+
 
 class TestHypersum:
     def test_sign_recursive_union(self):
