@@ -226,15 +226,15 @@ def _cmd_hyperprod(args) -> int:
             part = part[1:-1]
         factors.append(parse_poly(F, part))
     result = hyper_product(factors, association=args.assoc)
-    ordered = sorted(result, key=poly_sort_key)
+    products = [format_poly(q) for q in sorted(result, key=poly_sort_key)]
     payload = {
         "field": F.name,
         "factors": [format_poly(f) for f in factors],
         "association": args.assoc,
-        "count": len(ordered),
-        "products": [format_poly(q) for q in ordered],
+        "count": len(products),
+        "products": products,
     }
-    lines = [f"count={len(ordered)}"] + [format_poly(q) for q in ordered]
+    lines = [f"count={len(products)}"] + products
     _emit(args, payload, lines)
     return 0
 

@@ -110,6 +110,9 @@ class RationalField(Hyperfield):
 RATIONALS = RationalField()
 
 
+ENUMERATION_LIMIT = 1 << 20  # the largest carrier a prime field enumerates
+
+
 class PrimeField(Hyperfield):
     """The field of integers modulo a prime, with singleton hypersums."""
 
@@ -123,6 +126,9 @@ class PrimeField(Hyperfield):
         return True
 
     def carrier_values(self) -> list:
+        if self.p > ENUMERATION_LIMIT:
+            raise NonEnumerableError(f"{self.name}: {self.p} elements are more than "
+                                     f"the enumeration limit {ENUMERATION_LIMIT}")
         return list(range(self.p))
 
     def zero_value(self):

@@ -4,6 +4,7 @@ recursive root multiplicities, and the set-valued polynomial operations."""
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -52,17 +53,18 @@ class Poly:
         return f"Poly({self.field.name}: {format_poly(self)})"
 
 
-def _normalized(field: Hyperfield, values: list) -> Poly:
-    """The polynomial of checked ``values``, trailing zeros stripped."""
-    zero = field.zero_value()
-    while values and values[-1] == zero:
-        values.pop()
-    return Poly(field, tuple(values))
+def _stripped(values: tuple, zero) -> tuple:
+    """``values`` without trailing zeros."""
+    n = len(values)
+    while n and values[n - 1] == zero:
+        n -= 1
+    return values[:n]
 
 
 def poly(field: Hyperfield, values: Iterable) -> Poly:
     """Build a normalized polynomial from raw values, checking each once."""
-    return _normalized(field, [field.validate_value(v) for v in values])
+    return Poly(field, _stripped(tuple(field.validate_value(v) for v in values),
+                                 field.zero_value()))
 
 
 def poly_from_elements(field: Hyperfield, elems: Sequence[Element]) -> Poly:
@@ -299,13 +301,42 @@ def witness_chain_valid(p: Poly, report: MultReport) -> bool:
 # -- polynomial hyperoperations ---------------------------------------------
 
 
-def _choices(F: Hyperfield, sums: list) -> frozenset:
-    """Every polynomial whose i-th coefficient is chosen from ``sums[i]``."""
+HYPERPRODUCT_CHOICE_LIMIT = 10**6
+
+
+def _choices(F: Hyperfield, sums: list, spent: list) -> set:
+    """Every raw coefficient tuple whose i-th value is chosen from ``sums[i]``.
+
+    ``spent[0]`` counts one hyperoperation's choices so far; a step that would
+    take it past ``HYPERPRODUCT_CHOICE_LIMIT`` is refused before it runs.
+    """
     if not all(isinstance(s, FiniteSet) for s in sums):
         raise NonEnumerableError(
             "polynomial hyperoperations need finitely enumerable hypersums")
-    return frozenset(_normalized(F, list(combo))
-                     for combo in itertools.product(*(s.values for s in sums)))
+    options = [s.values for s in sums]
+    spent[0] += math.prod(map(len, options))
+    if spent[0] > HYPERPRODUCT_CHOICE_LIMIT:
+        raise DomainError(f"enumeration would reach {spent[0]} coefficient choices, "
+                          f"more than the limit {HYPERPRODUCT_CHOICE_LIMIT}")
+    zero = F.zero_value()
+    if options and zero in options[-1]:  # the top cancels only in a coefficientwise sum
+        return {_stripped(t, zero) for t in itertools.product(*options)}
+    return set(itertools.product(*options))
+
+
+def _mul_raw(F: Hyperfield, c: tuple, d: tuple, sums: dict, spent: list) -> set:
+    """Raw tuples of the Cauchy-product hypersum of nonzero ``c`` and ``d``;
+    ``sums`` caches each tuple of terms' hypersum."""
+    n, m = len(c) - 1, len(d) - 1
+    options = []
+    for i in range(n + m + 1):
+        terms = tuple(F.mul_values(c[k], d[i - k])
+                      for k in range(max(0, i - m), min(n, i) + 1))
+        s = sums.get(terms)
+        if s is None:
+            s = sums[terms] = F.hypersum_values(terms)
+        options.append(s)
+    return _choices(F, options, spent)
 
 
 def hyper_add_poly(p: Poly, q: Poly) -> frozenset:
@@ -314,7 +345,8 @@ def hyper_add_poly(p: Poly, q: Poly) -> frozenset:
     if q.field is not F:
         raise DomainError("polynomials over different instances")
     pairs = itertools.zip_longest(p.values(), q.values(), fillvalue=F.zero_value())
-    return _choices(F, [F.hyperadd_values(x, y) for x, y in pairs])
+    sums = [F.hyperadd_values(x, y) for x, y in pairs]
+    return frozenset(Poly(F, t) for t in _choices(F, sums, [0]))
 
 
 def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
@@ -324,11 +356,7 @@ def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
         raise DomainError("polynomials over different instances")
     if p.is_zero() or q.is_zero():
         return frozenset({Poly(F, ())})
-    c, d = p.values(), q.values()
-    n, m = len(c) - 1, len(d) - 1
-    return _choices(F, [F.hypersum_values(F.mul_values(c[k], d[i - k])
-                                          for k in range(max(0, i - m), min(n, i) + 1))
-                        for i in range(n + m + 1)])
+    return frozenset(Poly(F, t) for t in _mul_raw(F, p.values(), q.values(), {}, [0]))
 
 
 ASSOC_MAX_DEPTH = 256
@@ -388,7 +416,9 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
     Hypermultiplication is not associative in general, so different trees can
     give genuinely different sets.  ``association`` is a nested-pair tree of
     1-based factor indices, as text for :func:`parse_assoc`; the default is
-    the left-nested order.
+    the left-nested order.  Products are enumerated as raw coefficient
+    tuples, within ``HYPERPRODUCT_CHOICE_LIMIT`` choices in all; a zero factor
+    makes the product ``{0}``.
     """
     factors = list(factors)
     if not factors:
@@ -401,16 +431,19 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
             else parse_assoc(association))
     if sorted(_tree_leaves(tree)) != list(range(1, len(factors) + 1)):
         raise DomainError("association tree must use each factor index once")
+    if any(f.is_zero() for f in factors):
+        return frozenset({Poly(F, ())})
+    sums, spent = {}, [0]
 
-    def ev(node) -> frozenset:
+    def ev(node) -> set:
         if isinstance(node, int):
-            return frozenset({factors[node - 1]})
+            return {factors[node - 1].values()}
         out = set()
-        for u, v in itertools.product(ev(node[0]), ev(node[1])):
-            out |= hyper_mul_poly(u, v)
-        return frozenset(out)
+        for c, d in itertools.product(ev(node[0]), ev(node[1])):
+            out |= _mul_raw(F, c, d, sums, spent)
+        return out
 
     try:
-        return ev(tree)
+        return frozenset(Poly(F, t) for t in ev(tree))
     finally:
         del ev  # ev refers to itself; the cycle would keep the factors alive

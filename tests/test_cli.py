@@ -6,12 +6,14 @@ import pathlib
 import re
 import shlex
 import sys
+import time
 
 import pytest
 
-from hyperpoly import core, parse_field, parse_poly, pushforward, tropical_newton
+from hyperpoly import (core, parse_field, parse_poly, polynomial, pushforward,
+                       tropical_newton)
 from hyperpoly.cli import main
-from hyperpoly.instances import PRIMALITY_LIMIT
+from hyperpoly.instances import ENUMERATION_LIMIT, PRIMALITY_LIMIT
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -311,6 +313,29 @@ class TestExitCodes:
         assert code == 2
         assert err.splitlines()[0] == \
             "parse error: association tree nested more than 256 levels deep"
+
+    def test_hyperproduct_choice_limit_is_one(self, capsys, monkeypatch):
+        # W at the default limit: 9 alternating factors need 432,576 choices,
+        # 10 would need 2,357,339; a lowered limit keeps the test fast
+        monkeypatch.setattr(polynomial, "HYPERPRODUCT_CHOICE_LIMIT", 1000)
+        polys = ";".join(["(1,1);(-1,1)"] * 3)
+        code, out, err = run(capsys, "hyperprod", "--field", "W", "--polys", polys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == ("error: enumeration would reach 1003 "
+                                       "coefficient choices, more than the limit 1000")
+
+    @pytest.mark.parametrize("argv", [
+        ("roots", "--field", "Fp:1000000007", "--poly", "1,1"),
+        ("axioms", "--field", "Fp:1000000007"),
+    ], ids=["roots", "axioms"])
+    def test_prime_above_the_enumeration_limit_is_one(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == (
+            f"error: Fp:1000000007: 1000000007 elements are more than the "
+            f"enumeration limit {ENUMERATION_LIMIT}")
 
 
 class TestOutputStability:
