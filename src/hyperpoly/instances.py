@@ -463,27 +463,8 @@ class QuotientHyperfield(FiniteHyperfield):
     """
 
     def __init__(self, p: int, generators):
-        if p > QUOTIENT_PRIME_BOUND:
-            raise DomainError(f"quotient base {p} exceeds bound "
-                              f"{QUOTIENT_PRIME_BOUND}")
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        gens = [g % p for g in generators]
-        if any(g == 0 for g in gens):
-            raise DomainError("subgroup generators must be nonzero mod p")
-        if not gens:
-            gens = [1]
-        subgroup = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = (x * g) % p
-                if y not in subgroup:
-                    subgroup.add(y)
-                    frontier.append(y)
         self.p = p
-        self.subgroup = frozenset(subgroup)
+        self.subgroup = subgroup = _subgroup(p, generators)
         coset_of = {0: 0}
         cosets = {0: frozenset({0})}
         for r in range(1, p):
@@ -498,14 +479,31 @@ class QuotientHyperfield(FiniteHyperfield):
         self.cosets = cosets
         reps = sorted(cosets)
         name = f"quot:{p}:" + ",".join(str(g) for g in sorted(subgroup))
-        mul = {(a, b): coset_of[(a * b) % p] for a in reps for b in reps}
-        add = {}
-        for a in reps:
-            for b in reps:
-                sums = {coset_of[(x + y) % p]
-                        for x in cosets[a] for y in cosets[b]}
-                add[(a, b)] = frozenset(sums)
+        # both tables are symmetric; FiniteHyperfield mirrors each entry
+        pairs = list(itertools.combinations_with_replacement(reps, 2))
+        mul = {(a, b): coset_of[(a * b) % p] for a, b in pairs}
+        add = {(a, b): frozenset({coset_of[(x + y) % p]
+                                  for x in cosets[a] for y in cosets[b]})
+               for a, b in pairs}
         super().__init__(name, reps, 0, 1, mul, add)
+
+
+def _subgroup(p: int, generators) -> frozenset:
+    """The subgroup of the units mod ``p`` that ``generators`` generate,
+    after the checks on the spec of a quotient."""
+    if p > QUOTIENT_PRIME_BOUND:
+        raise DomainError(f"quotient base {p} exceeds bound "
+                          f"{QUOTIENT_PRIME_BOUND}")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    gens = [g % p for g in generators] or [1]
+    if any(g == 0 for g in gens):
+        raise DomainError("subgroup generators must be nonzero mod p")
+    subgroup = frontier = {1}
+    while frontier:
+        frontier = {(x * g) % p for x in frontier for g in gens} - subgroup
+        subgroup = subgroup | frontier
+    return frozenset(subgroup)
 
 
 def build_quotient(p: int, generators) -> QuotientHyperfield:
@@ -517,8 +515,11 @@ def build_quotient(p: int, generators) -> QuotientHyperfield:
     is always a hyperfield, so its axioms are checked only on request, by
     :func:`check_axioms`.
     """
-    q = QuotientHyperfield(p, generators)
-    return _LIVE_INSTANCES.setdefault(("quot", p, q.subgroup), q)
+    key = ("quot", p, _subgroup(p, generators))
+    q = _LIVE_INSTANCES.get(key)
+    if q is None:
+        q = _LIVE_INSTANCES[key] = QuotientHyperfield(p, generators)
+    return q
 
 
 def iso_to_named(source: Hyperfield, target: Hyperfield) -> Optional[dict]:

@@ -337,6 +337,17 @@ class TestExitCodes:
             f"error: Fp:1000000007: 1000000007 elements are more than the "
             f"enumeration limit {ENUMERATION_LIMIT}")
 
+    def test_axioms_above_the_carrier_limit_is_one(self, capsys):
+        # Fp:1031 is enumerable, but its quadratic checks would take about 24 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, "axioms", "--field", "Fp:1031")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == (
+            f"error: axioms over Fp:1031: 1031 elements, 1062961 pairs, more "
+            f"than the carrier limit {core.AXIOM_CARRIER_LIMIT}")
+        assert core.AXIOM_CARRIER_LIMIT == 1024
+
 
 class TestOutputStability:
     @pytest.mark.parametrize("name,argv", [

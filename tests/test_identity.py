@@ -79,6 +79,18 @@ class TestInterning:
         s = parse_field("quot:7:1,2,4").hyperadd(q.one(), q.one())
         assert s.contains(q.one())
 
+    def test_live_quotient_is_returned_without_a_build(self, monkeypatch):
+        q = build_quotient(11, [3])
+
+        def no_build(self, p, generators):
+            raise AssertionError("a second table was built")
+
+        monkeypatch.setattr(QuotientHyperfield, "__init__", no_build)
+        assert parse_field("quot:11:3") is q
+        assert parse_field("quot:11:4,5") is q
+        with pytest.raises(AssertionError):
+            QuotientHyperfield(11, [3])
+
     def test_prime_fields_share_one_live_instance(self):
         F = parse_field("Fp:7")
         assert parse_field("Fp:7") is F
