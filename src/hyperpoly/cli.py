@@ -76,7 +76,6 @@ def _cmd_axioms(args) -> int:
         "exhaustive": report.exhaustive,
         "passed": report.passed,
         "checks": [{"axiom": c.axiom, "passed": c.passed, "witness": c.witness}
-                   | ({"skipped": True} if c.skipped else {})
                    for c in report.checks],
         "notes": report.notes,
     }

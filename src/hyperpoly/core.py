@@ -325,9 +325,9 @@ class FiniteHyperfield(Hyperfield):
 
     ``add_table`` maps ordered pairs of values to frozensets of values and
     ``mul_table`` maps them to values; in both, one orientation of each pair
-    is enough, and the other is filled in by commutativity.  The tables are
-    kept accessible so tests can build deliberately broken variants for the
-    axiom checker.
+    is enough, and the other is filled in by commutativity.  A pair of
+    carrier values without an entry, or with one outside the carrier, raises
+    DomainError.  The tables stay public, for broken variants in tests.
     """
 
     def __init__(self, name, values, zero, one, mul_table, add_table):
@@ -343,6 +343,16 @@ class FiniteHyperfield(Hyperfield):
             self.add_table.setdefault((y, x), fs)
         for (x, y), v in list(self.mul_table.items()):
             self.mul_table.setdefault((y, x), v)
+        carrier = frozenset(self._values)
+        if not {zero, one} <= carrier:
+            raise DomainError(f"{name}: zero and one must lie in the carrier")
+        pairs = set(itertools.product(carrier, repeat=2))
+        for kind, table, within in (("product", self.mul_table, carrier.__contains__),
+                                    ("sum", self.add_table, carrier.issuperset)):
+            bad = pairs.difference(table) | {k for k, v in table.items() if not within(v)}
+            if bad:
+                x, y = min(bad, key=lambda k: (self.sort_key(k[0]), self.sort_key(k[1])))
+                raise DomainError(f"{name}: no {kind} of {x!r} and {y!r} in the carrier")
         self._neg_cache = {}
 
     def is_finite(self) -> bool:
@@ -436,8 +446,6 @@ class AxiomCheck:
     axiom: str
     passed: bool
     witness: str | None = None
-    # a reduced check that found no counterexample but lacks its premises
-    skipped: bool = False
 
 
 @dataclass
@@ -452,14 +460,13 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
     def failing(self) -> list:
-        return [c for c in self.checks if not (c.passed or c.skipped)]
+        return [c for c in self.checks if not c.passed]
 
     def lines(self) -> list[str]:
         scope = "exhaustive" if self.exhaustive else "sampled"
         out = [f"axioms {self.field_name} ({scope})"]
         for c in self.checks:
-            status = "pass" if c.passed else "skipped" if c.skipped else "FAIL"
-            line = f"  {c.axiom}: {status}"
+            line = f"  {c.axiom}: {'pass' if c.passed else 'FAIL'}"
             if c.witness:
                 line += f"  [{c.witness}]"
             out.append(line)
@@ -474,25 +481,19 @@ _AXIOMS = ("multiplicative group", "nonempty", "commutativity", "associativity",
 
 AXIOM_CARRIER_LIMIT = 1 << 10  # the largest finite carrier check_axioms enumerates
 
-# what the reduced finite checks rest on; see check_axioms
-_PREMISES = {
-    "distributivity": ("multiplicative group", "zero absorbs"),
-    "associativity": ("multiplicative group", "zero absorbs", "distributivity",
-                      "neutral element", "commutativity"),
-    "reversibility": ("multiplicative group", "zero absorbs", "distributivity",
-                      "neutral element", "unique inverse"),
-}
-
 
 def check_axioms(F: Hyperfield) -> AxiomReport:
     """Check the hypergroup and hyperfield axioms on ``F``.
 
     Infinite instances are checked on their fixed deterministic sample grid,
-    which hits every rule branch of the instances shipped here; every triple
-    of grid values is tried.  Each check reports a counterexample on failure.
+    which hits every rule branch of the instances shipped here, over every
+    pair and triple.  Each check reports a counterexample on failure.
 
-    Finite carriers are checked exhaustively in O(n^2) table lookups.  A
-    carrier of more than ``AXIOM_CARRIER_LIMIT`` values raises DomainError.
+    Finite carriers are checked up to symmetry.  A check runs on its reduced
+    domain below once the checks its proof rests on have passed, and on
+    every pair or triple otherwise, so each verdict is the full check's.
+    That costs O(n^2) table lookups, or O(n^3) for a table that fails a
+    premise; a carrier above ``AXIOM_CARRIER_LIMIT`` raises DomainError.
 
     - ``multiplicative group``: :func:`unit_powers` finds a generator ``g``
       of the units and the discrete log of each unit, and every product
@@ -500,36 +501,32 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
       units a cyclic group: associative, commutative, with inverses.  With
       no generator, the group laws are checked directly, in cubic time, and
       a note says the unit group is not cyclic.
-    - ``distributivity`` is checked for ``a = g`` only (every unit, without
-      a generator).  If ``x`` and ``y`` distribute, so does ``xy``:
-      ``xy(b+c) = x(yb + yc) = xyb + xyc``, by associativity of the units
-      and ``x*0 = 0``.  So by induction every power of ``g`` distributes,
-      and those are all the units.  ``a = 0`` gives ``{0}`` on both sides
-      once ``zero absorbs`` and ``neutral element`` pass; else it is checked.
+    - ``distributivity`` is checked for ``a = g`` only, once the group,
+      ``zero absorbs`` and ``neutral element`` pass and ``g`` exists (a
+      non-cyclic unit group keeps every scalar).  If ``x`` and ``y``
+      distribute, so does ``xy``: ``xy(b+c) = x(yb + yc) = xyb + xyc``, by
+      associativity of the units and ``x*0 = 0``.  So by induction every
+      power of ``g`` distributes, and those are all the units.  ``a = 0``
+      gives ``{0}`` on both sides, since ``0*b = 0`` and ``0 + 0 = {0}``.
     - ``nonempty``, ``commutativity`` and ``unique inverse`` read the rows
-      of ``0`` and ``1`` only, once those four checks pass, and every pair
-      otherwise.  For a unit ``b``, ``b+c = b(1 + c/b)`` and
-      ``c+b = b(c/b + 1)``, and scaling by ``b`` is a bijection of the
-      carrier that fixes ``0``.  So ``b+c`` is empty, differs from ``c+b``
-      or holds ``0`` iff the same is true of ``1+c/b``, and ``x -> bx`` maps
-      the inverses of ``1`` onto those of ``b``.
-    - ``associativity`` and ``reversibility`` are checked with first
-      argument ``1`` only.  For a unit ``a``, put ``b = ab'`` and
-      ``c = ac'``.  Distributivity gives ``b+c = a(b'+c')`` and
-      ``s+a = a(s'+1)``, so both sides of ``a+(b+c) = (a+b)+c`` are ``a``
-      times the sides of ``1+(b'+c') = (1+b')+c'``, and scaling by ``a``
-      is a bijection of the carrier.  Likewise ``a`` lies in ``b+c`` iff
-      ``1`` lies in ``b'+c'``; and ``-(ax) = a(-x)``, since ``0`` lies in
-      ``a(x + -x) = ax + a(-x)`` and inverses are unique, so
+      of ``0`` and ``1`` only, once those four checks pass.  For a unit
+      ``b``, ``b+c = b(1 + c/b)`` and ``c+b = b(c/b + 1)``, and scaling by
+      ``b`` is a bijection of the carrier that fixes ``0``.  So ``b+c`` is
+      empty, differs from ``c+b`` or holds ``0`` iff the same is true of
+      ``1+c/b``, and ``x -> bx`` maps the inverses of ``1`` onto those of
+      ``b``.
+    - ``associativity`` is checked with first argument ``1`` only, once
+      those four checks and ``commutativity`` pass, and ``reversibility``
+      once those four and ``unique inverse`` pass.  For a unit ``a``, put
+      ``b = ab'`` and ``c = ac'``.  Distributivity gives ``b+c = a(b'+c')``
+      and ``s+a = a(s'+1)``, so both sides of ``a+(b+c) = (a+b)+c`` are
+      ``a`` times the sides of ``1+(b'+c') = (1+b')+c'``, and scaling by
+      ``a`` is a bijection of the carrier.  Likewise ``a`` lies in ``b+c``
+      iff ``1`` lies in ``b'+c'``; and ``-(ax) = a(-x)``, since ``0`` lies
+      in ``a(x + -x) = ax + a(-x)`` and inverses are unique, so
       ``-b in -a+c`` iff ``-b' in -1+c'``.  The case ``a = 0`` follows
       from the neutral element (with commutativity for ``s+0``) and the
       unique inverse: both sides of reversibility say ``c = -b``.
-
-    A reduced check that finds a counterexample fails with it, since a
-    counterexample is one whatever else holds.  One that finds none passes
-    only if every premise above passed; otherwise it is reported as
-    skipped, and the report does not pass.  The row checks never skip:
-    without their premises they run on every pair.
     """
     exhaustive = F.is_finite()
     vals = F.carrier_values() if exhaustive else F.sample_values()
@@ -543,8 +540,6 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     notes = []
     powers = unit_powers(F) if exhaustive else None
     g = powers[1 % len(powers)] if powers else None
-    # the first arguments of the three axioms over triples, reduced as above
-    firsts = [one] if exhaustive else vals
     results = {}
     sums = {}  # each pair's hypersum is used by several checks
 
@@ -556,14 +551,7 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def run(axiom, gen):
         witness = next(gen, None)
-        failed = [p for p in _PREMISES.get(axiom, ()) if not results[p].passed]
-        if witness is not None:
-            results[axiom] = AxiomCheck(axiom, False, witness)
-        elif exhaustive and failed:
-            results[axiom] = AxiomCheck(axiom, False, "needs " + ", ".join(failed),
-                                        skipped=True)
-        else:
-            results[axiom] = AxiomCheck(axiom, True)
+        results[axiom] = AxiomCheck(axiom, witness is None, witness)
 
     def gen_group():
         if powers is not None:
@@ -610,7 +598,7 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             if add(a, b) != add(b, a):
                 yield f"a={fmt(a)}, b={fmt(b)}"
 
-    def gen_associative():
+    def gen_associative(firsts):
         for a, b, c in itertools.product(firsts, vals, vals):
             left = F.add_set_value(add(b, c), a)
             right = F.add_set_value(add(a, b), c)
@@ -638,7 +626,7 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             if others:
                 yield f"a={fmt(a)}: second inverse {fmt(others[0])}"
 
-    def gen_reversible():
+    def gen_reversible(firsts):
         for a, b, c in itertools.product(firsts, vals, vals):
             try:
                 lhs = add(b, c).contains_value(a)
@@ -662,23 +650,22 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             if left != right:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
-    # premises first; the report lists the checks in _AXIOMS order
+    # premises first, each domain reduced only once they pass; the report
+    # lists the checks in _AXIOMS order
     run("multiplicative group", gen_group())
     run("zero absorbs", gen_zero_absorbs())
     run("neutral element", gen_neutral())
-    scalars = [zero, g] if powers else vals
-    if proved("zero absorbs", "neutral element"):
-        scalars = [a for a in scalars if a != zero]
-    run("distributivity", gen_distributive(scalars))
-    rows = vals
-    if proved("multiplicative group", "zero absorbs", "neutral element",
-              "distributivity"):
-        rows = [zero, one]
+    premises = ("multiplicative group", "zero absorbs", "neutral element")
+    run("distributivity", gen_distributive([g] if powers and proved(*premises) else vals))
+    premises += ("distributivity",)
+    rows = [zero, one] if proved(*premises) else vals
     run("nonempty", gen_nonempty(rows))
     run("commutativity", gen_commutative(rows))
     run("unique inverse", gen_inverse(rows))
-    run("associativity", gen_associative())
-    run("reversibility", gen_reversible())
+    run("associativity", gen_associative(
+        [one] if proved(*premises, "commutativity") else vals))
+    run("reversibility", gen_reversible(
+        [one] if proved(*premises, "unique inverse") else vals))
 
     notes += getattr(F, "axiom_notes", ())
     return AxiomReport(F.name, exhaustive, [results[a] for a in _AXIOMS], notes)

@@ -351,12 +351,9 @@ def hyper_add_poly(p: Poly, q: Poly) -> frozenset:
 
 def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
     """Cauchy-product hypersum: every choice of e_i in sum of c_k d_l, k+l=i."""
-    F = p.field
-    if q.field is not F:
+    if q.field is not p.field:
         raise DomainError("polynomials over different instances")
-    if p.is_zero() or q.is_zero():
-        return frozenset({Poly(F, ())})
-    return frozenset(Poly(F, t) for t in _mul_raw(F, p.values(), q.values(), {}, [0]))
+    return hyper_product([p, q])
 
 
 ASSOC_MAX_DEPTH = 256

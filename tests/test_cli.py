@@ -150,18 +150,24 @@ class TestVerbs:
         assert code == 0
         assert calls == ["quot:7:1,2,4"]
 
-    def test_axioms_marks_skipped_checks(self, capsys, monkeypatch):
-        checks = [core.AxiomCheck("multiplicative group", False, "x=2, y=2"),
-                  core.AxiomCheck("distributivity", False,
-                                  "needs multiplicative group", skipped=True)]
-        report = core.AxiomReport("X", True, checks, [])
-        monkeypatch.setattr("hyperpoly.cli.check_axioms", lambda F: report)
-        code, out, _ = run(capsys, "axioms", "--field", "S", "--format", "json")
+    def test_axioms_reports_a_failing_check(self, capsys, monkeypatch):
+        # K with 0 + 0 = {0, 1}: zero is not neutral, nor distributive
+        K = parse_field("K")
+        broken = core.FiniteHyperfield("K'", [0, 1], 0, 1, K.mul_table,
+                                       K.add_table | {(0, 0): {0, 1}})
+        monkeypatch.setattr("hyperpoly.cli.parse_field", lambda spec: broken)
+        code, out, _ = run(capsys, "axioms", "--field", "K")
         assert code == 1
-        entries = json.loads(out)["checks"]
-        assert [e.get("skipped") for e in entries] == [None, True]
-        code, out, _ = run(capsys, "axioms", "--field", "S")
-        assert "distributivity: skipped  [needs multiplicative group]" in out
+        assert "  distributivity: FAIL  [a=0, b=0, c=0]" in out.splitlines()
+        code, out, _ = run(capsys, "axioms", "--field", "K", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["checks"][-1] == {"axiom": "distributivity",
+                                         "passed": False,
+                                         "witness": "a=0, b=0, c=0"}
+        assert all(set(c) == {"axiom", "passed", "witness"}
+                   for c in payload["checks"])
 
     def test_verify_batches(self, capsys):
         for what, cases in (("descartes", "25"), ("newton", "10"),

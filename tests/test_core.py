@@ -182,6 +182,23 @@ class TestErrors:
         with pytest.raises(DomainError):
             TROPICAL.element("1.5")
 
+    # K's tables, to drop or change an entry of
+    MUL = {(0, 0): 0, (0, 1): 0, (1, 1): 1}
+    ADD = {(0, 0): {0}, (0, 1): {1}, (1, 1): {0, 1}}
+
+    @pytest.mark.parametrize("one, mul, add, message", [
+        (1, {(0, 1): 0}, ADD, "x: no product of 0 and 0 in the carrier"),
+        (1, MUL | {(0, 1): 2}, ADD, "x: no product of 0 and 1 in the carrier"),
+        (1, MUL, {(0, 0): {0}, (0, 1): {1}}, "x: no sum of 1 and 1 in the carrier"),
+        (1, MUL, ADD | {(1, 1): {1, 2}}, "x: no sum of 1 and 1 in the carrier"),
+        (2, MUL, ADD, "x: zero and one must lie in the carrier"),
+    ], ids=["missing product", "foreign product", "missing sum", "foreign sum",
+            "foreign one"])
+    def test_incomplete_tables_are_refused(self, one, mul, add, message):
+        with pytest.raises(DomainError) as info:
+            FiniteHyperfield("x", [0, 1], 0, one, mul, add)
+        assert str(info.value) == message
+
 
 class TestAxioms:
     @pytest.mark.parametrize("field", [

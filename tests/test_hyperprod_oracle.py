@@ -5,8 +5,9 @@ hyperoperations moved to raw coefficient tuples, kept verbatim apart from
 the ``ref_`` names: every candidate coefficient choice becomes a checked,
 normalized ``Poly``, and a hyperproduct multiplies every pair of ``Poly``
 results through ``hyper_mul_poly``.  The properties ask the library for the
-same sets, under random association trees and with zero factors, and for
-the same coefficientwise hypersums where the top coefficients cancel.
+same sets, under random association trees and with zero factors, for the
+same products of two factors, and for the same coefficientwise hypersums
+where the top coefficients cancel.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from hyperpoly import (
     NonEnumerableError,
     Poly,
     hyper_add_poly,
+    hyper_mul_poly,
     hyper_product,
     parse_field,
     poly,
@@ -134,6 +136,14 @@ def test_hyper_product_matches_the_poly_reference(data):
     order = data.draw(st.permutations(range(1, len(factors) + 1)))
     tree = data.draw(_trees(list(order)))
     assert hyper_product(factors, tree) == ref_hyper_product(factors, tree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hyper_mul_poly_matches_the_poly_reference(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    p, q = data.draw(_polys(F, max_degree=3)), data.draw(_polys(F, max_degree=3))
+    assert hyper_mul_poly(p, q) == ref_hyper_mul_poly(p, q)
 
 
 @settings(max_examples=120, deadline=None)
