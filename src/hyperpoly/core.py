@@ -509,24 +509,32 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
       power of ``g`` distributes, and those are all the units.  ``a = 0``
       gives ``{0}`` on both sides, since ``0*b = 0`` and ``0 + 0 = {0}``.
     - ``nonempty``, ``commutativity`` and ``unique inverse`` read the rows
-      of ``0`` and ``1`` only, once those four checks pass.  For a unit
-      ``b``, ``b+c = b(1 + c/b)`` and ``c+b = b(c/b + 1)``, and scaling by
-      ``b`` is a bijection of the carrier that fixes ``0``.  So ``b+c`` is
-      empty, differs from ``c+b`` or holds ``0`` iff the same is true of
-      ``1+c/b``, and ``x -> bx`` maps the inverses of ``1`` onto those of
-      ``b``.
+      of ``0`` and ``1`` only, once the group, ``zero absorbs`` and
+      ``distributivity`` pass.  For a unit ``b``, ``b+c = b(1 + c/b)`` and
+      ``c+b = b(c/b + 1)``, and scaling by ``b`` is a bijection of the
+      carrier that fixes ``0``.  So ``b+c`` is empty, differs from ``c+b``
+      or holds ``0`` iff ``1+c/b`` does, and ``x -> bx`` maps the inverses
+      of ``1`` onto those of ``b``.
     - ``associativity`` is checked with first argument ``1`` only, once
-      those four checks and ``commutativity`` pass, and ``reversibility``
-      once those four and ``unique inverse`` pass.  For a unit ``a``, put
-      ``b = ab'`` and ``c = ac'``.  Distributivity gives ``b+c = a(b'+c')``
-      and ``s+a = a(s'+1)``, so both sides of ``a+(b+c) = (a+b)+c`` are
-      ``a`` times the sides of ``1+(b'+c') = (1+b')+c'``, and scaling by
-      ``a`` is a bijection of the carrier.  Likewise ``a`` lies in ``b+c``
-      iff ``1`` lies in ``b'+c'``; and ``-(ax) = a(-x)``, since ``0`` lies
-      in ``a(x + -x) = ax + a(-x)`` and inverses are unique, so
-      ``-b in -a+c`` iff ``-b' in -1+c'``.  The case ``a = 0`` follows
-      from the neutral element (with commutativity for ``s+0``) and the
-      unique inverse: both sides of reversibility say ``c = -b``.
+      those three and ``commutativity`` pass, and ``reversibility`` once
+      the group, ``distributivity`` and ``neutral element`` pass.  For a
+      unit ``a``, put ``b = ab'`` and ``c = ac'``: distributivity gives
+      ``b+c = a(b'+c')`` and ``s+a = a(s'+1)``, and scaling by ``a`` is a
+      bijection of the carrier, so each side of ``(b+c)+a = (a+b)+c`` is
+      ``a`` times that of ``(b'+c')+1 = (1+b')+c'``, ``a`` lies in ``b+c``
+      iff ``1`` lies in ``b'+c'``, and ``-(ax) = a(-x)`` (``0`` lies in
+      ``a(x + -x) = ax + a(-x)``), so ``-b in -a+c`` iff ``-b' in -1+c'``.
+      At ``a = 0``, ``(x+y)+z`` is unchanged by swapping ``x`` and ``y``
+      and by moving a unit ``z`` to the front, which reaches every order
+      of a triple that holds a unit; in reversibility ``-0 = 0`` and
+      ``0+c = {c}``, so both sides say ``c = -b``.
+    - Reversibility needs neither unique inverses nor ``zero absorbs``:
+      both loops compute ``-b`` for every ``b``, and ``neg_value`` raises
+      DomainError unless ``b`` has one inverse (on a table; ``Fp:<p>`` has
+      unique inverses).  Distributivity on ``0+c = {c}`` gives
+      ``a*0 + v = {v}`` for units ``a``, ``v``; were ``y = a*0`` a unit,
+      scaling by ``1/y`` would give ``1+v = {v}``, so ``-1 = 0``, and the
+      check fails at ``b = c = 1``; so ``a*0 = 0``.
     """
     exhaustive = F.is_finite()
     vals = F.carrier_values() if exhaustive else F.sample_values()
@@ -655,8 +663,9 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     run("multiplicative group", gen_group())
     run("zero absorbs", gen_zero_absorbs())
     run("neutral element", gen_neutral())
-    premises = ("multiplicative group", "zero absorbs", "neutral element")
-    run("distributivity", gen_distributive([g] if powers and proved(*premises) else vals))
+    premises = ("multiplicative group", "zero absorbs")
+    run("distributivity", gen_distributive(
+        [g] if powers and proved(*premises, "neutral element") else vals))
     premises += ("distributivity",)
     rows = [zero, one] if proved(*premises) else vals
     run("nonempty", gen_nonempty(rows))
@@ -664,8 +673,8 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     run("unique inverse", gen_inverse(rows))
     run("associativity", gen_associative(
         [one] if proved(*premises, "commutativity") else vals))
-    run("reversibility", gen_reversible(
-        [one] if proved(*premises, "unique inverse") else vals))
+    run("reversibility", gen_reversible([one] if proved(
+        "multiplicative group", "distributivity", "neutral element") else vals))
 
     notes += getattr(F, "axiom_notes", ())
     return AxiomReport(F.name, exhaustive, [results[a] for a in _AXIOMS], notes)

@@ -560,29 +560,23 @@ def iso_to_named(source: Hyperfield, target: Hyperfield) -> Optional[dict]:
 # -- homomorphisms --------------------------------------------------------------
 
 
-def padic_ord(n: int, p: int) -> int:
-    """Largest k with p^k dividing the nonzero integer n."""
-    if n == 0:
-        raise DomainError("ord_p(0) is undefined")
-    n = abs(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 def padic_valuation(x, p: int) -> Element:
     """The p-adic valuation of a rational, as a tropical element; v(0) = inf."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return Element(TROPICAL, _valuation(Fraction(x), p))
+    return Element(TROPICAL, _valuation(RATIONALS.validate_value(x), p))
 
 
 def _valuation(x: Fraction, p: int):
+    """v_p(x) for a prime p: the exponent of p in x, or INF at 0."""
     if x == 0:
         return INF
-    return Fraction(padic_ord(x.numerator, p) - padic_ord(x.denominator, p))
+    num, den, k = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, k = num // p, k + 1
+    while den % p == 0:
+        den, k = den // p, k - 1
+    return Fraction(k)
 
 
 @dataclass(frozen=True)

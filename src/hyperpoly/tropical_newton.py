@@ -196,61 +196,46 @@ def functional_equiv(p: Poly, roots) -> bool:
                == n_inf * b + sum(min(a, b) for a in scaled) for b in samples)
 
 
-def _divide_root(p_monic: Poly, a, sorted_roots) -> Poly:
-    """One monic quotient q with p in (T + a) q, for a finite root ``a`` of p,
-    given p's full sorted root list.
+def _divide(c: tuple, a) -> tuple:
+    """The quotient d with c in (T + a) d, for a finite root ``a`` of the raw
+    coefficients c_0..c_n; d has one root ``a`` fewer.
 
-    High coefficients follow the usual synthetic-division minimum, low ones
-    its mirror image, and the block spanned by the copies of ``a`` is bridged
-    by elementary symmetric values of the smallest roots; the three ranges
-    agree where they meet.
+    Two synthetic divisions, one from each end, and the larger value at
+    each place: ``t_{n-1} = c_n``, ``t_{i-1} = min(c_i, a + t_i)``;
+    ``b_0 = c_0 - a``, ``b_i = min(c_i, b_{i-1}) - a``; ``d_i = max(t_i, b_i)``.
+
+    Proof: ``w_j = c_j + j*a`` attains its minimum ``M`` first at ``j0`` and
+    last at ``j1 > j0``, as ``a`` is a root.  As ``t_i + (i+1)*a`` is
+    ``min_{j>i} w_j`` and ``b_i + (i+1)*a`` is ``min_{j<=i} w_j``,
+    ``d_i + (i+1)*a`` is ``min_{j<=i} w_j`` for ``i < j0``, ``M`` up to
+    ``j1 - 1`` and ``min_{j>i} w_j`` from ``j1`` on.  So ``d_{n-1} = c_n``,
+    ``c_0 = a + d_0``, and each middle ``c_i`` is the unique minimum of
+    ``a + d_i`` and ``d_{i-1}`` or lies on the ray of a tie; the weights of
+    d are least exactly on ``[j0, j1 - 1]``, a segment of slope ``-a`` one
+    shorter.  ``inf`` passes through ``min`` and ``- a`` unchanged.
     """
-    c = p_monic.values()
-    n = len(c) - 1
-    k = sorted_roots.index(a) + 1
-    m = sorted_roots.count(a)
-    sums = _prefix_sums(sorted_roots)
-    d = [None] * n
-    d[n - 1] = Fraction(0)
-    if k >= 2:
-        for i in range(n - 2, n - k, -1):
-            d[i] = min(c[i + 1], TROPICAL.mul_values(d[i + 1], a))
-    if k + m <= n:
-        d[0] = TROPICAL.mul_values(c[0], -a)
-        for i in range(1, n - k - m + 1):
-            d[i] = TROPICAL.mul_values(min(c[i], d[i - 1]), -a)
-    for i in range(n - k - m + 1, n - k + 1):
-        if 0 <= i < n:
-            d[i] = sums[n - i - 1]
-    return poly(TROPICAL, d)
+    mul, n = TROPICAL.mul_values, len(c) - 1
+    top, low = [c[n]] * n, [mul(c[0], -a)]
+    for i in range(n - 1, 0, -1):
+        top[i - 1] = min(c[i], mul(a, top[i]))
+    for i in range(1, n):
+        low.append(mul(min(c[i], low[-1]), -a))
+    return tuple(map(max, top, low))
 
 
 def mult_tropical(p: Poly, a: Element) -> MultReport:
-    """Multiplicity of a finite ``a`` as a root: the polygon length at a.value.
-
-    ``multiplicity`` calls this through ``rule_multiplicity`` once it has
-    checked ``a`` and ``p`` and answered the zero element itself.  Also
-    builds a replayable witness chain of successive quotients, each checked
-    against the divisibility conditions directly; the recursion removes one
-    copy of a.value from the sorted root list per step.
-    """
-    F, s = p.field, a.value
-    lead = p.values()[-1]
-    mp = Poly(F, tuple(F.mul_values(v, -lead) for v in p.values()))
-    found = newton_polygon(mp).roots()
-    m = found.get(s, 0)
-    chain = []
-    cur, cur_scaled = mp, p
-    cur_roots = [v for v, k in found.items() for _ in range(k)]
+    """Multiplicity of a finite ``a`` as a root, the polygon's length at
+    a.value, with a witness chain of :func:`_divide` quotients, each checked
+    by ``divides_with_quotient``.  ``rule_multiplicity`` calls this once
+    ``multiplicity`` has checked ``a`` and answered the zero element."""
+    m = newton_polygon(p).roots().get(a.value, 0)
+    chain = [p]
     for _ in range(m):
-        q = _divide_root(cur, s, cur_roots)
-        q_scaled = Poly(F, tuple(F.mul_values(v, lead) for v in q.values()))
-        if not divides_with_quotient(cur_scaled, a, q_scaled):
+        q = Poly(p.field, _divide(chain[-1].values(), a.value))
+        if not divides_with_quotient(chain[-1], a, q):
             raise AssertionError("tropical witness quotient failed to divide")
-        chain.append(q_scaled)
-        cur_roots.remove(s)
-        cur, cur_scaled = q, q_scaled
-    return MultReport(a, m, "newton-polygon", tuple(chain))
+        chain.append(q)
+    return MultReport(a, m, "newton-polygon", tuple(chain[1:]))
 
 
 TROPICAL_ROOT_POOL = (

@@ -250,10 +250,10 @@ def ref_check_axioms(F: Hyperfield) -> AxiomReport:
 
 
 # what the row checks of 0 and 1 rest on; see check_axioms
-ROW_PREMISES = ("multiplicative group", "zero absorbs", "neutral element",
-                "distributivity")
-# and, with these, the checks over triples with first argument 1
-PREMISES = ROW_PREMISES + ("commutativity", "unique inverse")
+ROW_PREMISES = ("multiplicative group", "zero absorbs", "distributivity")
+# and, with these, distributivity on g and the checks over triples with
+# first argument 1
+PREMISES = ROW_PREMISES + ("neutral element", "commutativity")
 
 
 def assert_agrees(F):
@@ -430,6 +430,25 @@ def changed(spec, products=None, sums=None):
     return FiniteHyperfield(spec + "'", base.carrier_values(), 0, 1, mul, add)
 
 
+def zero_divisors(name, sums):
+    """Carrier 0..3 with 1 the identity, 2*2 = 2*3 = 3*3 = 0 and 0+x = {x},
+    and ``sums`` for the other sums: the group check fails, while zero
+    absorbs and the neutral element hold."""
+    products = {(0, x): 0 for x in range(4)} | {(1, x): x for x in range(1, 4)}
+    products |= {(2, 2): 0, (2, 3): 0, (3, 3): 0}
+    return FiniteHyperfield(name, range(4), 0, 1, products,
+                            {(0, x): {x} for x in range(4)} | sums)
+
+
+# 1+1 = {0, 1, 2, 3}, 1+x = {1} otherwise, x+x = {0, x} and 2+3 = {2, 3}:
+# commutative, each element its own inverse
+ZERO_DIVISORS = zero_divisors(
+    "Z2", {(1, 1): {0, 1, 2, 3}, (1, 2): {1}, (1, 3): {1}, (2, 2): {0, 2},
+           (3, 3): {0, 3}, (2, 3): {2, 3}})
+# carrier 0..3 with units 1, 2, 3 = 1, g, g^2
+CYCLIC_PRODUCTS = {(x, y): 0 if 0 in (x, y) else (x + y - 2) % 3 + 1
+                   for x, y in itertools.product(range(4), repeat=2)}
+
 # tables where a check fails only outside its reduced domain, because one of
 # the premises of the reduction fails; each names the premise, the check and
 # its first counterexample over every pair or triple
@@ -448,10 +467,56 @@ WIDENED = {
                  "distributivity", "nonempty", "a=2, b=3: empty hypersum"),
     # associativity fails only at first arguments 0 and -1
     "W": (changed("W", sums={(0, 1): {0, 1, -1}}),
-          "neutral element", "associativity", "a=0, b=-1, c=-1"),
+          "distributivity", "associativity", "a=0, b=-1, c=-1"),
     # reversibility fails only at first arguments 2, 4 and 7
     "quot:13:3": (changed("quot:13:3", sums={(1, 7): {1, 2, 4}}),
                   "distributivity", "reversibility", "a=2, b=1, c=7"),
+    # S with 1+0 = {-1} and -1+0 = {1}, but 0+x = {x}; associativity fails
+    # only at first argument 0
+    "S": (FiniteHyperfield("S'", [0, 1, -1], 0, 1, parse_field("S").mul_table,
+                           {(0, 0): {0}, (0, 1): {1}, (0, -1): {-1}, (1, 0): {-1},
+                            (-1, 0): {1}, (1, 1): {0, 1, -1}, (1, -1): {0, 1, -1},
+                            (-1, -1): {0, 1, -1}}),
+          "commutativity", "associativity", "a=0, b=0, c=1"),
+    # 1+x = {1}, x+x = {x}, 2+3 = {2} and 3+2 = {3}; commutativity fails
+    # only at (2, 3)
+    "zero divisors": (zero_divisors(
+        "Z", {(1, 1): {1}, (1, 2): {1}, (1, 3): {1}, (2, 2): {2}, (3, 3): {3},
+              (2, 3): {2}, (3, 2): {3}}),
+        "multiplicative group", "commutativity", "a=2, b=3"),
+    # both fail only at first arguments 2 and 3
+    "zero divisors, associativity": (ZERO_DIVISORS, "multiplicative group",
+                                     "associativity", "a=2, b=2, c=3"),
+    "zero divisors, reversibility": (ZERO_DIVISORS, "multiplicative group",
+                                     "reversibility", "a=2, b=3, c=2"),
+    # units 1, 2 with 2*2 = 1, but 2*0 = 1; x+y = {y} except 2+0 = {2}, so
+    # 0 and 1 have the inverse 0 and 2 has none
+    "2*0 = 1": (FiniteHyperfield(
+        "Z'", range(3), 0, 1,
+        {(0, 0): 0, (0, 1): 0, (0, 2): 0, (1, 0): 0, (2, 0): 1, (1, 1): 1,
+         (1, 2): 2, (2, 2): 1},
+        {(x, y): {2} if (x, y) == (2, 0) else {y}
+         for x, y in itertools.product(range(3), repeat=2)}),
+        "zero absorbs", "unique inverse", "a=2: no hyperinverse"),
+    # units 1, 2, 3 with 2*2 = 3 and 2*3 = 1; u+0 = {u} but 0+u = {2u}, and
+    # u+u = {u}, u+2u = {0, u}, u+3u = {u}, so -1 = 2, -2 = 3 and -3 = 1;
+    # reversibility fails only at first argument 0
+    "0+u = {2u}": (FiniteHyperfield(
+        "N", range(4), 0, 1, CYCLIC_PRODUCTS,
+        {(0, 0): {0}}
+        | {(u, 0): {u} for u in (1, 2, 3)}
+        | {(0, u): {u % 3 + 1} for u in (1, 2, 3)}
+        | {(u, v): {u} | ({0} if v == u % 3 + 1 else set())
+           for u, v in itertools.product((1, 2, 3), repeat=2)}),
+        "neutral element", "reversibility", "a=0, b=1, c=1"),
+    # the products of 0+u = {2u}, but 2*0 = 1 and 3*0 = 2; x+y = {x, y} for
+    # units, 0+1 = {0, 1, 3}, 0+2 = {0, 2} and 0+3 = {0}; associativity
+    # fails at first arguments 0, 2 and 3
+    "u*0 = u/2": (FiniteHyperfield(
+        "Z0", range(4), 0, 1, CYCLIC_PRODUCTS | {(2, 0): 1, (3, 0): 2},
+        {(0, 0): {0}, (0, 1): {0, 1, 3}, (0, 2): {0, 2}, (0, 3): {0}}
+        | {(u, v): {u, v} for u, v in itertools.product((1, 2, 3), repeat=2)}),
+        "zero absorbs", "associativity", "a=0, b=2, c=3"),
 }
 
 

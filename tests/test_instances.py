@@ -196,6 +196,19 @@ class TestPadicValuation:
         with pytest.raises(DomainError):
             padic_valuation(4, 6)
 
+    @pytest.mark.parametrize("p", [5, 2])
+    def test_float_rejected(self, p):
+        # Fraction(0.1) is 3602879701896397/2**55, so v_2 would read -55
+        with pytest.raises(DomainError, match="0.1 is not an exact rational"):
+            padic_valuation(0.1, p)
+
+    @pytest.mark.parametrize("p", [1, 0])
+    def test_unit_and_zero_bases_rejected(self, p):
+        # dividing out 1 never ends, and dividing by 0 raises ZeroDivisionError
+        for build in (lambda: padic_valuation(5, p), lambda: padic_hom(p)):
+            with pytest.raises(DomainError, match=f"{p} is not prime"):
+                build()
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_is_a_homomorphism_on_samples(self, p):
         assert check_homomorphism(padic_hom(p)).passed
