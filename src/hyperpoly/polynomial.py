@@ -225,8 +225,10 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
     closed form (the Newton polygon over ``T``), and other instances without
     enumerable hypersums are rejected.  The search runs on raw values.  The
     witness takes the first quotient in canonical order that attains the
-    maximum; the scan stops once that meets the bound deg - ord_0.  The
-    memo lives for one call, so its keys are the raw coefficient tuples.
+    maximum; the scan stops once that meets the bound n = deg - ord_0 if
+    q[ord] = (-a)^n q[deg], else n - 1 (proved in ``rec``), which is never
+    below the multiplicity.  The memo lives for one call, so its keys are the
+    raw coefficient tuples.
     """
     F = p.field
     F.check_member(a)
@@ -246,13 +248,22 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
             f"{F.name}: multiplicity away from zero needs finite hypersums")
     av = a.value
     step, memo = {}, {}
+    powers = [F.one_value()]  # (-a)^k for k = 0 .. len(c)
+    for _ in c:
+        powers.append(F.mul_values(powers[-1], F.neg_value(av)))
 
     def rec(q: tuple):
         hit = memo.get(q)
         if hit is not None:
             return hit
-        # mult_a(q) <= deg q - ord_0 q, by the morphism to K
-        bound = len(q) - 1 - next(i for i, v in enumerate(q) if v != zero)
+        # If q in (T - a) d, then d[deg-1] = q[deg], d[i] = 0 below ord (from
+        # q[0] = -a d[0] up) and q[ord] = -a d[ord]: d keeps q[deg] and ord,
+        # and its lowest coefficient is -q[ord]/a.  A chain of length n =
+        # deg - ord ends in q[deg] T^ord, so needs q[ord] = (-a)^n q[deg].
+        low = next(i for i, v in enumerate(q) if v != zero)
+        bound = len(q) - 1 - low
+        if q[low] != F.mul_values(powers[bound], q[-1]):
+            bound -= 1
         best = (0, ())
         for cand in _quotients_raw(F, q, av, step):
             m, chain = rec(cand)

@@ -215,6 +215,35 @@ class TestVerbs:
         assert code == 0
         assert "seed=42" in out
 
+    # over quot:13:3 every root of 1,2,1,1,2,1,... has mult_a = n - 1 at
+    # degree 10, where the search without the n - 1 bound listed the
+    # quotients of 183,737 polynomials (about 30 s), and n at degree 12;
+    # times T, the bound must read the lowest nonzero coefficient.  The
+    # outputs are pinned from that search; this one lists those of 46 to 58.
+    @pytest.mark.parametrize("coeffs,found", [
+        ("1,2,1,1,2,1,1,2,1,1,2", dict.fromkeys(("1", "2", "4", "7"), 9)),
+        ("1,2,1,1,2,1,1,2,1,1,2,1,1", dict.fromkeys(("1", "2", "4", "7"), 12)),
+        ("0,1,2,1,1,2,1,1,2,1,1,2,1,1",
+         {"0": 1, **dict.fromkeys(("1", "2", "4", "7"), 12)}),
+    ], ids=["degree-10", "degree-12", "degree-13-ord-1"])
+    def test_deep_root_search_is_fast(self, capsys, monkeypatch, coeffs, found):
+        search, listed = polynomial._quotients_raw, []
+
+        def budgeted(*args):
+            listed.append(args[1])
+            assert len(listed) <= 100, "quotients listed for over 100 polynomials"
+            return search(*args)
+
+        monkeypatch.setattr(polynomial, "_quotients_raw", budgeted)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "roots", "--field", "quot:13:3",
+                             "--poly", coeffs, "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        expected = {"field": "quot:13:1,3,9", "poly": coeffs, "roots": [
+            {"element": e, "multiplicity": m} for e, m in found.items()]}
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, capsys):

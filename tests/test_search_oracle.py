@@ -17,6 +17,8 @@ from hyperpoly import (
     KRASNER,
     SIGN,
     WEAK_SIGN,
+    hyper_mul_poly,
+    linear_poly,
     multiplicity,
     parse_field,
     poly,
@@ -174,3 +176,58 @@ def test_multiplicity_and_witness_match_plain_recursion(field):
             assert tuple(q.values() for q in report.witness) == chain
 
     check()
+
+
+BOUND_FIELDS = WIDE_FIELDS + [parse_field(spec) for spec in
+                              ("quot:11:10", "quot:13:12", "quot:19:7", "quot:31:5")]
+
+
+@st.composite
+def full_multiplicity_polys(draw, field, max_steps=5):
+    """c T^j times up to ``max_steps`` factors T - a, each product drawn from
+    the hyperproduct: deg - ord_0 = mult_a at the drawn unit a, with ord_0 = j."""
+    units = [v for v in field.carrier_values() if v != field.zero_value()]
+    t_minus_a = linear_poly(field, field.element(draw(st.sampled_from(units))))
+    p = poly(field, [field.zero_value()] * draw(st.integers(0, 2))
+             + [draw(st.sampled_from(units))])
+    for _ in range(draw(st.integers(1, max_steps))):
+        p = draw(st.sampled_from(sorted(hyper_mul_poly(t_minus_a, p),
+                                        key=poly_sort_key)))
+    return p
+
+
+@pytest.mark.parametrize("field", BOUND_FIELDS, ids=lambda f: f.name)
+def test_a_full_chain_fixes_the_lowest_coefficient(field):
+    """If mult_a(q) = n = deg - ord_0 at a unit a, then q[ord] = (-a)^n q[deg]:
+    each quotient on the chain keeps q[deg] and ord and has lowest
+    coefficient -q[ord]/a.  The search stops at that bound, or at n - 1."""
+    zero = field.zero_value()
+    units = [v for v in field.carrier_values() if v != zero]
+
+    def ord0(q):
+        return next(i for i, v in enumerate(q) if v != zero)
+
+    def check(p):
+        c = p.values()
+        n = len(c) - 1 - ord0(c)
+        for a in units:
+            m, chain = plain_multiplicity(field, c, a)
+            assert m <= n
+            report = multiplicity(p, field.element(a))
+            assert (report.multiplicity, tuple(q.values() for q in report.witness)) \
+                == (m, chain)
+            if m < n:
+                continue
+            power = field.one_value()
+            for _ in range(n):
+                power = field.mul_values(power, field.neg_value(a))
+            assert c[ord0(c)] == field.mul_values(power, c[-1])
+            minus_inv_a = field.neg_value(field.inv_value(a))
+            q = c
+            for d in chain:
+                assert (d[-1], ord0(d)) == (q[-1], ord0(q))
+                assert d[ord0(d)] == field.mul_values(minus_inv_a, q[ord0(q)])
+                q = d
+
+    for strategy in (polys(field, max_degree=5), full_multiplicity_polys(field)):
+        settings(max_examples=20, deadline=None)(given(strategy)(check))()
