@@ -151,8 +151,11 @@ class PrimeField(Hyperfield):
     def inv_value(self, x):
         return pow(x, -1, self.p)
 
+    def hyperadd_raw(self, x, y) -> frozenset:
+        return frozenset({(x + y) % self.p})
+
     def hyperadd_values(self, x, y) -> HyperSet:
-        return FiniteSet(self, frozenset({(x + y) % self.p}))
+        return FiniteSet(self, self.hyperadd_raw(x, y))
 
     def parse_value(self, text: str):
         try:
@@ -548,8 +551,8 @@ def iso_to_named(source: Hyperfield, target: Hyperfield) -> Optional[dict]:
         if all(
             mapping[source.mul_values(a, b)]
             == target.mul_values(mapping[a], mapping[b])
-            and frozenset(mapping[x] for x in source.hyperadd_values(a, b).values)
-            == target.hyperadd_values(mapping[a], mapping[b]).values
+            and frozenset(mapping[x] for x in source.hyperadd_raw(a, b))
+            == target.hyperadd_raw(mapping[a], mapping[b])
             for a in values for b in values
         ):
             return {Element(source, x): Element(target, y)
@@ -665,7 +668,7 @@ def check_homomorphism(hom: Homomorphism) -> HomomorphismReport:
         # the image of the source hypersum must land inside the target's
         image_sum = tgt.hyperadd_values(fa, fb)
         if not all(image_sum.contains_value(f(s))
-                   for s in src.hyperadd_values(a, b).values):
+                   for s in src.hyperadd_raw(a, b)):
             violations.append(("f(a+b) in f(a)+f(b)", Element(src, a), Element(src, b)))
     return HomomorphismReport(hom.rule, violations)
 

@@ -160,7 +160,7 @@ def _quotients_raw(F: Hyperfield, c: tuple, a, step: dict) -> list:
             nxt = step.get((c[i], d))
             if nxt is None:
                 nxt = step[(c[i], d)] = sorted(
-                    F.hyperadd_values(c[i], F.mul_values(a, d)).values, key=F.sort_key)
+                    F.hyperadd_raw(c[i], F.mul_values(a, d)), key=F.sort_key)
             for e in nxt:
                 up.setdefault(e, []).append(d)
         ups.append(up)

@@ -3,8 +3,9 @@
 The cubic reference runs the generators the checker used before its finite
 checks were reduced: every triple for associativity, reversibility and
 distributivity.  It adds the group laws of the units, checked directly, and
-checks that zero absorbs on both sides, as the checker now does.  Every
-check must give the reference's verdict, on every table.
+checks that zero absorbs on both sides, as the checker now does, and it
+compares ``a+(b+c)`` with ``(a+b)+c``.  Every check must give the
+reference's verdict, on every table.
 
 The second reference, ``ref_check_axioms``, is the checker as it was before
 nonempty, commutativity and unique inverse were reduced to the rows of 0
@@ -12,10 +13,13 @@ and 1, kept verbatim apart from its docstring, the ``ref_`` names and the
 record it marks a skipped check with.  It reduced its checks over triples
 whatever their premises, and skipped one that found no counterexample while
 a premise failed.  Wherever it did not skip, the verdicts must be equal;
-where every premise passes, so must the reports, witnesses included.
+where every premise passes, so must the reports, witnesses included.  It
+compares ``(b+c)+a`` with ``(a+b)+c``, which is the same only where sums
+commute, so its associativity verdict counts only on commutative tables.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -50,6 +54,9 @@ def cubic_axioms(F) -> dict:
     def union_add(s, c):
         return frozenset().union(*(add(x, c).values for x in s.values))
 
+    def add_union(a, s):
+        return frozenset().union(*(add(a, x).values for x in s.values))
+
     def group():
         return (all(mul(x, y) != zero and mul(x, y) == mul(y, x)
                     for x, y in itertools.product(units, repeat=2))
@@ -81,7 +88,7 @@ def cubic_axioms(F) -> dict:
                         for a, b in itertools.product(vals, repeat=2)),
         "commutativity": all(add(a, b) == add(b, a)
                              for a, b in itertools.product(vals, repeat=2)),
-        "associativity": all(union_add(add(b, c), a) == union_add(add(a, b), c)
+        "associativity": all(add_union(a, add(b, c)) == union_add(add(a, b), c)
                              for a, b, c in itertools.product(vals, repeat=3)),
         "neutral element": all(add(zero, a).values == {a} for a in vals),
         "unique inverse": inverse(),
@@ -261,8 +268,9 @@ def assert_agrees(F):
     verdicts = {c.axiom: c.passed for c in report.checks}
     assert verdicts == cubic_axioms(F), report.lines()
     before = ref_check_axioms(F)
+    forms_agree = verdicts["commutativity"]  # see the module docstring
     for c, ref in zip(report.checks, before.checks):
-        if not isinstance(ref, RefSkipped):
+        if not isinstance(ref, RefSkipped) and (forms_agree or c.axiom != "associativity"):
             assert c.passed == ref.passed, (c, ref)
     assert report.notes == before.notes
     if all(c.passed for c in report.checks if c.axiom in PREMISES):
@@ -401,21 +409,36 @@ def test_non_associative_loop_fails_the_group_check():
 
 
 def test_quadratic_table_lookups():
-    F = build_quotient(43, [1])
-    n = len(F.carrier_values())
-    calls = []
-    real = F.hyperadd_values
+    # every finite sum is read through hyperadd_raw, about 8.2 n^2 times
+    for spec in ("quot:43:1", "Fp:31"):
+        F = parse_field(spec)
+        n = len(F.carrier_values())
+        calls = []
+        real = F.hyperadd_raw
 
-    def counted(x, y):
-        calls.append(None)
-        return real(x, y)
+        def counted(x, y):
+            calls.append(None)
+            return real(x, y)
 
-    F.hyperadd_values = counted
+        F.hyperadd_raw = counted
+        try:
+            assert check_axioms(F).passed
+        finally:
+            del F.hyperadd_raw
+        assert n * n <= len(calls) <= 9 * n * n, spec
+
+
+@pytest.mark.parametrize("spec", ["Fp:101", "quot:101:1"])
+def test_finite_checks_keep_no_sums(spec):
+    # no pair cache and no FiniteSet per sum: 3.7 and 1.6 MiB with them
+    F = parse_field(spec)
+    tracemalloc.start()
     try:
         assert check_axioms(F).passed
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        del F.hyperadd_values
-    assert len(calls) <= 20 * n * n
+        tracemalloc.stop()
+    assert peak < 0.25 * 2 ** 20
 
 
 def changed(spec, products=None, sums=None):
@@ -471,12 +494,12 @@ WIDENED = {
     # reversibility fails only at first arguments 2, 4 and 7
     "quot:13:3": (changed("quot:13:3", sums={(1, 7): {1, 2, 4}}),
                   "distributivity", "reversibility", "a=2, b=1, c=7"),
-    # S with 1+0 = {-1} and -1+0 = {1}, but 0+x = {x}; associativity fails
-    # only at first argument 0
+    # S's products with x+y = {x} for a unit x and 0+y = {-y}, found by a
+    # search of the tables on S's carrier: associativity fails only at first
+    # argument 0, where 0+(0+1) = {1} and (0+0)+1 = {-1}
     "S": (FiniteHyperfield("S'", [0, 1, -1], 0, 1, parse_field("S").mul_table,
-                           {(0, 0): {0}, (0, 1): {1}, (0, -1): {-1}, (1, 0): {-1},
-                            (-1, 0): {1}, (1, 1): {0, 1, -1}, (1, -1): {0, 1, -1},
-                            (-1, -1): {0, 1, -1}}),
+                           {(x, y): {-y} if x == 0 else {x}
+                            for x, y in itertools.product([0, 1, -1], repeat=2)}),
           "commutativity", "associativity", "a=0, b=0, c=1"),
     # 1+x = {1}, x+x = {x}, 2+3 = {2} and 3+2 = {3}; commutativity fails
     # only at (2, 3)

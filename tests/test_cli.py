@@ -425,6 +425,14 @@ class TestOutputStability:
             assert (tmp_path / "segments.txt").read_text() == \
                 (GOLDEN / "readme_newton_T.segments.txt").read_text()
 
+    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("spec", ["quot:31:1", "quot:37:1", "quot:41:1", "quot:43:1",
+                                      "Fp:31", "S", "K", "W"])
+    def test_axioms_snapshot(self, capsys, monkeypatch, tmp_path, spec, fmt, ext):
+        # the finite axiom reports, pinned byte for byte
+        out = self.snapshot(capsys, monkeypatch, tmp_path, f"axioms --field {spec}", fmt)
+        assert out == (GOLDEN / f"axioms_{spec.replace(':', '_')}.{ext}").read_text()
+
     def test_emitted_polynomials_reparse(self, capsys):
         code, out, _ = run(capsys, "quotients", "--field", "S",
                            "--poly", "1,-1,-1,1", "--at", "1",
