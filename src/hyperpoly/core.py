@@ -8,6 +8,7 @@ infinity -- and immutable, so instances and values can be shared freely.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -352,10 +353,17 @@ class FiniteHyperfield(Hyperfield):
         carrier = frozenset(self._values)
         if not {zero, one} <= carrier:
             raise DomainError(f"{name}: zero and one must lie in the carrier")
-        pairs = set(itertools.product(carrier, repeat=2))
-        for kind, table, within in (("product", self.mul_table, carrier.__contains__),
-                                    ("sum", self.add_table, carrier.issuperset)):
-            bad = pairs.difference(table) | {k for k, v in table.items() if not within(v)}
+        chain = itertools.chain.from_iterable
+        for kind, table, flat in (("product", self.mul_table, iter),
+                                  ("sum", self.add_table, chain)):
+            # n^2 keys, each a pair of carrier values, are every pair; only a
+            # table that fails the count builds the pair set, to name the
+            # least pair it misses
+            if (len(table) == len(carrier) ** 2 and carrier.issuperset(chain(table))
+                    and carrier.issuperset(flat(table.values()))):
+                continue
+            bad = (set(itertools.product(carrier, repeat=2)).difference(table)
+                   | {k for k, v in table.items() if not carrier.issuperset(flat([v]))})
             if bad:
                 x, y = min(bad, key=lambda k: (self.sort_key(k[0]), self.sort_key(k[1])))
                 raise DomainError(f"{name}: no {kind} of {x!r} and {y!r} in the carrier")
@@ -491,6 +499,22 @@ _AXIOMS = ("multiplicative group", "nonempty", "commutativity", "associativity",
 AXIOM_CARRIER_LIMIT = 1 << 10  # the largest finite carrier check_axioms enumerates
 
 
+def _orbit_exponents(m: int):
+    """One pair ``(i, j)``, ``0 <= i <= j < m``, per orbit of the multisets
+    ``{0, i, j}`` of exponents mod ``m`` under adding a constant.
+
+    Going round the cycle from ``0``, the multiset leaves the gaps
+    ``(i, j - i, m - j)``.  Shifting it so that ``i`` or ``j`` becomes ``0``
+    rotates the gaps, so each orbit is one cyclic order of gaps, and the pair
+    kept is the one whose gaps are the least rotation.
+    """
+    for d1 in range(m // 3 + 1):  # the least gap comes first
+        for d2 in range(d1, m - 2 * d1 + 1):
+            d3 = m - d1 - d2
+            if d3 > d1 or d2 == d1:  # (d1, d2, d1) is above (d1, d1, d2)
+                yield d1, d1 + d2
+
+
 def check_axioms(F: Hyperfield) -> AxiomReport:
     """Check the hypergroup and hyperfield axioms on ``F``.
 
@@ -501,27 +525,34 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     Finite carriers are checked up to symmetry.  A check runs on its reduced
     domain below once the checks its proof rests on have passed, and on
     every pair or triple otherwise, so each verdict is the full check's.
-    That costs O(n^2) table lookups, or O(n^3) for a table that fails a
-    premise; a carrier above ``AXIOM_CARRIER_LIMIT`` raises DomainError.
-    Finite sums are read raw through ``hyperadd_raw`` and kept nowhere, so
-    the checks allocate O(n) memory.  ``associativity`` compares ``a+(b+c)``,
-    the union of ``a+x`` over ``x`` in ``b+c``, with ``(a+b)+c``; the grid
-    reads ``(b+c)+a`` instead, which is the same as sums there commute by
-    definition.
+    Some reduced checks first run a faster test that proves them; when that
+    test fails, the reduced check runs to name its first counterexample.
+    That costs O(n^2) table lookups, about 2.7·n^2 sums read when every
+    premise holds, or O(n^3) for a table that fails a premise; a carrier
+    above ``AXIOM_CARRIER_LIMIT`` raises DomainError.  Finite sums are read
+    raw through ``hyperadd_raw`` and kept nowhere, so the checks allocate
+    O(n) memory: the rows of fixed elements are read once per call, and the
+    group check one row at a time.  ``associativity`` compares
+    ``a+(b+c)``, the union of ``a+x`` over ``x`` in ``b+c``, with
+    ``(a+b)+c``; the grid reads ``(b+c)+a`` instead, which is the same as
+    sums there commute by definition.
 
     - ``multiplicative group``: :func:`unit_powers` finds a generator ``g``
       of the units and the discrete log of each unit, and every product
-      ``x*y`` is compared with ``g^(log x + log y)``.  Passing proves the
-      units a cyclic group: associative, commutative, with inverses.  With
-      no generator, the group laws are checked directly, in cubic time, and
-      a note says the unit group is not cyclic.
+      ``x*y`` is compared with ``g^(log x + log y)``, a row at a time: the
+      row of ``x`` in the order of the powers is the powers turned by
+      ``log x``.  Passing proves the units a cyclic group: associative,
+      commutative, with inverses.  With no generator, the group laws are
+      checked directly, in cubic time, and a note says the unit group is
+      not cyclic.
     - ``distributivity`` is checked for ``a = g`` only, once the group,
       ``zero absorbs`` and ``neutral element`` pass and ``g`` exists (a
-      non-cyclic unit group keeps every scalar).  If ``x`` and ``y``
-      distribute, so does ``xy``: ``xy(b+c) = x(yb + yc) = xyb + xyc``, by
-      associativity of the units and ``x*0 = 0``.  So by induction every
-      power of ``g`` distributes, and those are all the units.  ``a = 0``
-      gives ``{0}`` on both sides, since ``0*b = 0`` and ``0 + 0 = {0}``.
+      non-cyclic unit group keeps every scalar); ``x -> gx`` is read once.
+      If ``x`` and ``y`` distribute, so does ``xy``:
+      ``xy(b+c) = x(yb + yc) = xyb + xyc``, by associativity of the units
+      and ``x*0 = 0``.  So by induction every power of ``g`` distributes,
+      and those are all the units.  ``a = 0`` gives ``{0}`` on both sides,
+      since ``0*b = 0`` and ``0 + 0 = {0}``.
     - ``nonempty``, ``commutativity`` and ``unique inverse`` read the rows
       of ``0`` and ``1`` only, once the group, ``zero absorbs`` and
       ``distributivity`` pass.  For a unit ``b``, ``b+c = b(1 + c/b)`` and
@@ -545,12 +576,35 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
       of a triple that holds a unit; in reversibility ``-0 = 0`` and
       ``0+c = {c}``, so both sides say ``c = -b``.
     - Reversibility needs neither unique inverses nor ``zero absorbs``:
-      both loops compute ``-b`` for every ``b``, and ``neg_value`` raises
+      either domain reads ``-b`` for every ``b``, and ``neg_value`` raises
       DomainError unless ``b`` has one inverse (on a table; ``Fp:<p>`` has
       unique inverses).  Distributivity on ``0+c = {c}`` gives
       ``a*0 + v = {v}`` for units ``a``, ``v``; were ``y = a*0`` a unit,
       scaling by ``1/y`` would give ``1+v = {v}``, so ``-1 = 0``, and the
       check fails at ``b = c = 1``; so ``a*0 = 0``.
+    - With ``g``, and with ``commutativity`` proved too, both checks over
+      triples first test one multiset per scaling orbit.  Put
+      ``S(x, y, z) = (x+y)+z`` and ``R(x, y, z) = [-x in y+z]``.
+      Commutativity makes ``S`` symmetric in ``x, y`` and ``R`` in
+      ``y, z``.  Associativity says ``S(x, y, z) = S(y, z, x)``, and
+      reversibility ``R(-a, b, c) = R(b, -a, c)``; so each holds iff its
+      function takes one value on all orders of each multiset
+      ``{x, y, z}``.  ``S(ux, uy, uz) = u S(x, y, z)`` for a unit ``u``, as
+      above, and ``R(ux, uy, uz) = R(x, y, z)``, as ``-(ux) = u(-x)``.
+      Every multiset that holds a unit is a unit times one that holds
+      ``1``: ``{1, 0, c}`` for some ``c``, or ``{1, g^i, g^j}`` for the
+      ``(i, j)`` of :func:`_orbit_exponents`; ``{0, 0, 0}`` has one order.
+      On ``{1, b, c}``, associativity compares ``(b+c)+1``, ``(1+b)+c``
+      and ``(1+c)+b``, the scan's triples ``(1, b, c)`` and ``(1, c, b)``.
+      Reversibility compares ``R`` on the orders of ``-{1, b, c}``: with
+      ``b' = -b`` and ``c' = -c``, whether ``1`` lies in ``b'+c'``, ``-b'``
+      in ``-1+c'`` and ``-c'`` in ``-1+b'``, the scan's triples
+      ``(1, b', c')`` and ``(1, c', b')``.  So the scan fails wherever an
+      orbit does.  Reversibility's orbits also need every element to have
+      its inverse, and fall back to the scan otherwise.  Then ``-x`` is the
+      one ``y`` with ``0`` in ``x+y``, so ``-(-x) = x`` by commutativity,
+      and ``a*0`` is no unit: else ``1+v = {v}`` for every unit ``v``, as
+      above, and ``1+0 = {1}``, so ``1`` has no inverse.
     """
     exhaustive = F.is_finite()
     vals = F.carrier_values() if exhaustive else F.sample_values()
@@ -564,6 +618,10 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     notes = []
     powers = unit_powers(F) if exhaustive else None
     g = powers[1 % len(powers)] if powers else None
+    negs = {}  # -x for every x that has one inverse
+    for x in vals:
+        with contextlib.suppress(DomainError):
+            negs[x] = F.neg_value(x)
     results = {}
     # the checks read sums through add, add_left (a + s, the union of a + x
     # over x in s), add_right (s + c), scale, has (membership) and lift (a
@@ -580,6 +638,9 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
         def scale(a, s):
             return frozenset({zero}) if a == zero else frozenset(
                 F.mul_values(a, x) for x in s)
+
+        def row(a):  # a + x for every x, read once
+            return {x: add(a, x) for x in vals}
     else:  # rays and arcs need the HyperSet methods; each sum is kept
         add = functools.cache(F.hyperadd_values)
         add_right, scale = F.add_set_value, F.scale_set_value
@@ -593,20 +654,25 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
         def lift(values):
             return FiniteSet(F, frozenset(values))
 
-    def run(axiom, gen):
-        witness = next(gen, None)
+    def run(axiom, gen, proof=None):
+        # a proof that passes proves the check; otherwise gen yields its
+        # counterexamples in order
+        witness = None if proof and proof() else next(gen, None)
         results[axiom] = AxiomCheck(axiom, witness is None, witness)
 
     def gen_group():
         if powers is not None:
             n = len(powers)
             log = {v: k for k, v in enumerate(powers)}
-            for x, y in itertools.product(units, repeat=2):
-                k = (log[x] + log[y]) % n
-                xy = F.mul_values(x, y)
-                if xy != powers[k]:
-                    yield (f"g={fmt(g)}, x={fmt(x)}, y={fmt(y)}: "
-                           f"x*y = {fmt(xy)}, g^{k} = {fmt(powers[k])}")
+            for x in units:
+                k = log[x]
+                if [F.mul_values(x, y) for y in powers] == powers[k:] + powers[:k]:
+                    continue
+                for y in units:
+                    xy, xy_log = F.mul_values(x, y), (k + log[y]) % n
+                    if xy != powers[xy_log]:
+                        yield (f"g={fmt(g)}, x={fmt(x)}, y={fmt(y)}: "
+                               f"x*y = {fmt(xy)}, g^{xy_log} = {fmt(powers[xy_log])}")
             return
         for x in units:
             if F.mul_values(one, x) != x:
@@ -654,11 +720,10 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def gen_inverse(rows):
         for a in rows:
-            try:
-                na = F.neg_value(a)
-            except DomainError:
+            if a not in negs:
                 yield f"a={fmt(a)}: no hyperinverse"
                 return
+            na = negs[a]
             if not has(add(a, na), zero):
                 yield f"a={fmt(a)}: 0 not in a+(-a)"
                 return
@@ -668,13 +733,10 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def gen_reversible(firsts):
         for a, b, c in itertools.product(firsts, vals, vals):
-            try:
-                lhs = has(add(b, c), a)
-                rhs = has(add(F.neg_value(a), c), F.neg_value(b))
-            except DomainError:
+            if a not in negs or b not in negs:
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}: hyperinverse undefined"
                 return
-            if lhs != rhs:
+            if has(add(b, c), a) != has(add(negs[a], c), negs[b]):
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     def gen_zero_absorbs():
@@ -687,23 +749,51 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
             if scale(a, add(b, c)) != add(F.mul_values(a, b), F.mul_values(a, c)):
                 yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
+    # the proofs of finite checks: distributivity at g, and one multiset
+    # {1, b, c} per scaling orbit for the checks over triples
+    def distributive_at_g():
+        gx = {x: F.mul_values(g, x) for x in vals}
+        return all(frozenset(map(gx.__getitem__, add(b, c))) == add(gx[b], gx[c])
+                   for b, c in itertools.product(vals, repeat=2))
+
+    def orbits():
+        yield from ((zero, c) for c in vals)
+        for i, j in _orbit_exponents(len(powers)):
+            yield powers[i], powers[j]
+
+    def associative_on_orbits():
+        r1 = row(one)
+        return all(frozenset().union(*[r1[x] for x in add(b, c)])
+                   == add_right(r1[b], c) == add_right(r1[c], b)
+                   for b, c in orbits())
+
+    def reversible_on_orbits():
+        r = row(negs[one])
+        return all((one in add(negs[b], negs[c])) == (b in r[negs[c]]) == (c in r[negs[b]])
+                   for b, c in orbits())
+
     # premises first, each domain reduced only once they pass; the report
     # lists the checks in _AXIOMS order
     run("multiplicative group", gen_group())
     run("zero absorbs", gen_zero_absorbs())
     run("neutral element", gen_neutral())
     premises = ("multiplicative group", "zero absorbs")
-    run("distributivity", gen_distributive(
-        [g] if powers and proved(*premises, "neutral element") else vals))
+    cyclic = powers is not None
+    at_g = cyclic and proved(*premises, "neutral element")
+    run("distributivity", gen_distributive([g] if at_g else vals),
+        distributive_at_g if at_g else None)
     premises += ("distributivity",)
     rows = [zero, one] if proved(*premises) else vals
     run("nonempty", gen_nonempty(rows))
     run("commutativity", gen_commutative(rows))
     run("unique inverse", gen_inverse(rows))
-    run("associativity", gen_associative(
-        [one] if proved(*premises, "commutativity") else vals))
-    run("reversibility", gen_reversible([one] if proved(
-        "multiplicative group", "distributivity", "neutral element") else vals))
+    associative = premises + ("commutativity",)
+    run("associativity", gen_associative([one] if proved(*associative) else vals),
+        associative_on_orbits if cyclic and proved(*associative) else None)
+    reversible = ("multiplicative group", "distributivity", "neutral element")
+    run("reversibility", gen_reversible([one] if proved(*reversible) else vals),
+        reversible_on_orbits if cyclic and len(negs) == len(vals)
+        and proved(*reversible, "commutativity") else None)
 
     notes += getattr(F, "axiom_notes", ())
     return AxiomReport(F.name, exhaustive, [results[a] for a in _AXIOMS], notes)

@@ -58,7 +58,7 @@ class NewtonPolygon:
         return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _cross(o, a, b) -> Fraction:
+def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
 
 
@@ -67,25 +67,25 @@ def newton_polygon(p: Poly) -> NewtonPolygon:
 
     A leading block of inf coefficients is factored off first and reported as
     ``inf_prefix``; the hull is computed over the remaining finite points by
-    a monotone chain with exact cross products.
+    a monotone chain with integer cross products, on the values times their
+    common denominator.
     """
     if not isinstance(p.field, TropicalHyperfield):
         raise DomainError("newton_polygon expects a polynomial over T")
     if p.is_zero():
         raise DomainError("the zero polynomial (all-inf coefficients) has no polygon")
     values = p.values()
-    points = [(i, v) for i, v in enumerate(values) if v is not INF]
-    prefix = points[0][0]
+    den = math.lcm(*(v.denominator for v in values if v is not INF))
+    points = _cleared(values, den)
     hull = []
     for pt in points:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
             hull.pop()
         hull.append(pt)
-    segments = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        slope = Fraction(y1 - y0, x1 - x0)
-        segments.append(NewtonSegment(-slope, x1 - x0))
-    return NewtonPolygon(tuple(hull), tuple(segments), prefix)
+    segments = tuple(NewtonSegment(Fraction(y0 - y1, (x1 - x0) * den), x1 - x0)
+                     for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+    return NewtonPolygon(tuple((i, values[i]) for i, _ in hull), segments,
+                         points[0][0])
 
 
 def _root_values(roots) -> list:

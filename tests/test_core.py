@@ -189,11 +189,14 @@ class TestErrors:
     @pytest.mark.parametrize("one, mul, add, message", [
         (1, {(0, 1): 0}, ADD, "x: no product of 0 and 0 in the carrier"),
         (1, MUL | {(0, 1): 2}, ADD, "x: no product of 0 and 1 in the carrier"),
+        # four keys, as many as the pairs, but (2, 2) stands for (1, 1)
+        (1, {(0, 0): 0, (0, 1): 0, (2, 2): 1}, ADD,
+         "x: no product of 1 and 1 in the carrier"),
         (1, MUL, {(0, 0): {0}, (0, 1): {1}}, "x: no sum of 1 and 1 in the carrier"),
         (1, MUL, ADD | {(1, 1): {1, 2}}, "x: no sum of 1 and 1 in the carrier"),
         (2, MUL, ADD, "x: zero and one must lie in the carrier"),
-    ], ids=["missing product", "foreign product", "missing sum", "foreign sum",
-            "foreign one"])
+    ], ids=["missing product", "foreign product", "foreign pair", "missing sum",
+            "foreign sum", "foreign one"])
     def test_incomplete_tables_are_refused(self, one, mul, add, message):
         with pytest.raises(DomainError) as info:
             FiniteHyperfield("x", [0, 1], 0, one, mul, add)
