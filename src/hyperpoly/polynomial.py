@@ -132,7 +132,39 @@ def linear_poly(field: Hyperfield, a: Element) -> Poly:
     return Poly(field, (field.neg_value(a.value), field.one_value()))
 
 
-def _quotients_raw(F: Hyperfield, c: tuple, a, step: dict) -> list:
+class _Transitions:
+    """One search's quotient transitions, for one F and one a.
+
+    Each value gets a small id the first time it appears, and a layer, the
+    set of values one chain position can take, is the bitset of their ids.
+    ``members`` holds each layer's values in sort order; ``steps`` maps
+    ``(c_i, layer)`` to the next layer and, for each d_{i-1} in it, the
+    sorted d_i it is reached from; ``starts`` maps ``(c_0, layer)`` to the
+    sorted d_0 with -a*d_0 = c_0.  No table outlives its search.
+    """
+
+    __slots__ = ("ids", "members", "steps", "starts")
+
+    def __init__(self):
+        self.ids, self.members, self.steps, self.starts = {}, {}, {}, {}
+
+    def layer(self, F: Hyperfield, values) -> int:
+        ids, bits = self.ids, 0
+        for v in values:
+            bits |= 1 << ids.setdefault(v, len(ids))
+        if bits not in self.members:
+            self.members[bits] = sorted(values, key=F.sort_key)
+        return bits
+
+    def step(self, F: Hyperfield, a, ci, layer: int) -> tuple:
+        up = {}
+        for d in self.members[layer]:
+            for e in F.hyperadd_raw(ci, F.mul_values(a, d)):
+                up.setdefault(e, []).append(d)
+        return self.layer(F, up), up
+
+
+def _quotients_raw(F: Hyperfield, c: tuple, a, table: _Transitions) -> list:
     """Raw coefficient tuples of all q with c in (T - a) q, in canonical order.
 
     ``c`` is a normalized nonzero coefficient tuple and ``a`` a raw value.
@@ -141,7 +173,9 @@ def _quotients_raw(F: Hyperfield, c: tuple, a, step: dict) -> list:
     layer and the edges d_i -> d_{i-1}; the walk starts from the reachable
     d_0 with -a*d_0 = c_0 and extends upward along the edges in sort order.
     Every partial chain completes, and the chains come out in canonical
-    order.  ``step`` caches ``(c_i, d)`` -> sorted c_i + a*d for one F and a.
+    order.  ``table`` caches the layers, edges and starts for one F and a
+    (see :class:`_Transitions`): a search meets the same coefficient over
+    the same layer again and again, and then reads it with one lookup.
     """
     n = len(c) - 1
     if n == 0:
@@ -152,20 +186,19 @@ def _quotients_raw(F: Hyperfield, c: tuple, a, step: dict) -> list:
     if not F.enumerable_sums:
         raise NonEnumerableError(
             f"{F.name}: quotient enumeration needs finite hypersums")
-    layer = [c[n]]  # the reachable d_i, sorted
+    steps, layer = table.steps, table.layer(F, (c[n],))
     ups = []  # per layer, d_{i-1} -> the sorted d_i it is reached from
     for i in range(n - 1, 0, -1):
-        up = {}
-        for d in layer:
-            nxt = step.get((c[i], d))
-            if nxt is None:
-                nxt = step[(c[i], d)] = sorted(
-                    F.hyperadd_raw(c[i], F.mul_values(a, d)), key=F.sort_key)
-            for e in nxt:
-                up.setdefault(e, []).append(d)
+        hit = steps.get((c[i], layer))
+        if hit is None:
+            hit = steps[(c[i], layer)] = table.step(F, a, c[i], layer)
+        layer, up = hit
         ups.append(up)
-        layer = sorted(up, key=F.sort_key)
-    chains = [(d,) for d in layer if F.neg_value(F.mul_values(a, d)) == c[0]]
+    starts = table.starts.get((c[0], layer))
+    if starts is None:
+        starts = table.starts[(c[0], layer)] = [
+            d for d in table.members[layer] if F.neg_value(F.mul_values(a, d)) == c[0]]
+    chains = [(d,) for d in starts]
     for up in reversed(ups):
         chains = [chain + (d,) for chain in chains for d in up[chain[-1]]]
     return chains
@@ -181,7 +214,8 @@ def quotients(p: Poly, a: Element) -> tuple:
     F.check_member(a)
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    return tuple(Poly(F, q) for q in _quotients_raw(F, p.values(), a.value, {}))
+    return tuple(Poly(F, q) for q in _quotients_raw(F, p.values(), a.value,
+                                                      _Transitions()))
 
 
 def divides_with_quotient(p: Poly, a: Element, q: Poly) -> bool:
@@ -225,10 +259,20 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
     closed form (the Newton polygon over ``T``), and other instances without
     enumerable hypersums are rejected.  The search runs on raw values.  The
     witness takes the first quotient in canonical order that attains the
-    maximum; the scan stops once that meets the bound n = deg - ord_0 if
-    q[ord] = (-a)^n q[deg], else n - 1 (proved in ``rec``), which is never
-    below the multiplicity.  The memo lives for one call, so its keys are the
-    raw coefficient tuples.
+    maximum; the scan stops once that meets the bound below, which is never
+    below the multiplicity.
+
+    If q in (T - a) d at a unit a, then d[deg-1] = q[deg], d[i] = 0 below
+    ord (from q[0] = -a d[0] up) and q[ord] = -a d[ord]: d keeps q[deg] and
+    ord, and its lowest coefficient is -q[ord]/a.  So every state is T^ord
+    times a state of the search on c[ord:], in the same canonical order; the
+    search runs there and pads its witness at the end.  A chain of length
+    n = deg - ord ends in q[deg] T^ord, so it needs q[ord] = (-a)^n q[deg].
+    At depth k the lowest coefficient and (-a)^(n-k) have both gained the
+    factor (-1/a)^k, so every state shares the test's outcome, and the bound
+    is its length less 1 if the test holds at the top, else less 2.  The
+    memo and the :class:`_Transitions` table live for one call, so the memo's
+    keys are the raw coefficient tuples.
     """
     F = p.field
     F.check_member(a)
@@ -246,30 +290,20 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
     if not F.enumerable_sums:
         raise NonEnumerableError(
             f"{F.name}: multiplicity away from zero needs finite hypersums")
-    av = a.value
-    step, memo = {}, {}
-    powers = [F.one_value()]  # (-a)^k for k = 0 .. len(c)
-    for _ in c:
-        powers.append(F.mul_values(powers[-1], F.neg_value(av)))
+    av, low = a.value, next(i for i, v in enumerate(c) if v != zero)
+    c, power = c[low:], F.one_value()
+    for _ in range(len(c) - 1):
+        power = F.mul_values(power, F.neg_value(av))
+    gap = 1 if c[0] == F.mul_values(power, c[-1]) else 2
+    table, memo = _Transitions(), {}
 
     def rec(q: tuple):
-        hit = memo.get(q)
-        if hit is not None:
-            return hit
-        # If q in (T - a) d, then d[deg-1] = q[deg], d[i] = 0 below ord (from
-        # q[0] = -a d[0] up) and q[ord] = -a d[ord]: d keeps q[deg] and ord,
-        # and its lowest coefficient is -q[ord]/a.  A chain of length n =
-        # deg - ord ends in q[deg] T^ord, so needs q[ord] = (-a)^n q[deg].
-        low = next(i for i, v in enumerate(q) if v != zero)
-        bound = len(q) - 1 - low
-        if q[low] != F.mul_values(powers[bound], q[-1]):
-            bound -= 1
         best = (0, ())
-        for cand in _quotients_raw(F, q, av, step):
-            m, chain = rec(cand)
+        for cand in _quotients_raw(F, q, av, table):
+            m, chain = memo.get(cand) or rec(cand)  # entries are nonempty tuples
             if m + 1 > best[0]:
                 best = (m + 1, (cand,) + chain)
-                if best[0] == bound:
+                if best[0] == len(q) - gap:
                     break
         memo[q] = best
         return best
@@ -278,7 +312,8 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
         m, chain = rec(c)
     finally:
         del rec  # rec refers to itself; the cycle would keep memo alive
-    return MultReport(a, m, "recursive", tuple(Poly(F, q) for q in chain))
+    pad = p.values()[:low]
+    return MultReport(a, m, "recursive", tuple(Poly(F, pad + q) for q in chain))
 
 
 def roots(p: Poly) -> dict:

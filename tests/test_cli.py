@@ -17,6 +17,13 @@ from hyperpoly.instances import ENUMERATION_LIMIT, PRIMALITY_LIMIT
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+
+def alternating(degree: int) -> str:
+    """The monic alternating sign polynomial of the given degree, the signs
+    of (T - 1)^degree."""
+    return ",".join(("1", "-1")[(degree - i) % 2] for i in range(degree + 1))
+
+
 # the command lines of README.md, keyed by the name of their golden files
 README_COMMANDS = {
     "mult": "mult --field S --poly 1,-1,-1,1 --at 1",
@@ -220,29 +227,48 @@ class TestVerbs:
     # quotients of 183,737 polynomials (about 30 s), and n at degree 12;
     # times T, the bound must read the lowest nonzero coefficient.  The
     # outputs are pinned from that search; this one lists those of 46 to 58.
-    @pytest.mark.parametrize("coeffs,found", [
-        ("1,2,1,1,2,1,1,2,1,1,2", dict.fromkeys(("1", "2", "4", "7"), 9)),
-        ("1,2,1,1,2,1,1,2,1,1,2,1,1", dict.fromkeys(("1", "2", "4", "7"), 12)),
-        ("0,1,2,1,1,2,1,1,2,1,1,2,1,1",
-         {"0": 1, **dict.fromkeys(("1", "2", "4", "7"), 12)}),
-    ], ids=["degree-10", "degree-12", "degree-13-ord-1"])
-    def test_deep_root_search_is_fast(self, capsys, monkeypatch, coeffs, found):
-        search, listed = polynomial._quotients_raw, []
+    # Over S the bound seldom fires.  The exact counts pin the states the
+    # search visits: 1,449 for mult_deep_S's input, 9,008 for the
+    # alternating polynomial of degree 12 (mult = 12) and 3,516 for T times
+    # the one of degree 11, where n is odd and the search strips T.
+    @pytest.mark.parametrize("argv,listed,seconds,expected", [
+        (["roots", "--field", "quot:13:3", "--poly", "1,2,1,1,2,1,1,2,1,1,2"],
+         46, 1, dict.fromkeys(("1", "2", "4", "7"), 9)),
+        (["roots", "--field", "quot:13:3", "--poly", "1,2,1,1,2,1,1,2,1,1,2,1,1"],
+         58, 1, dict.fromkeys(("1", "2", "4", "7"), 12)),
+        (["roots", "--field", "quot:13:3", "--poly", "0,1,2,1,1,2,1,1,2,1,1,2,1,1"],
+         58, 1, {"0": 1, **dict.fromkeys(("1", "2", "4", "7"), 12)}),
+        (["mult", "--field", "S", "--poly=-1,1,1,1,0,-1,0,1,1,1,0,-1,-1",
+          "--at=-1"], 1449, 5, "mult_deep_S.json"),
+        (["mult", "--field", "S", "--poly", alternating(12), "--at", "1"],
+         9008, 5, [alternating(d) for d in range(11, -1, -1)]),
+        (["mult", "--field", "S", "--poly", "0," + alternating(11), "--at", "1"],
+         3516, 5, ["0," + alternating(d) for d in range(10, -1, -1)]),
+    ], ids=["degree-10", "degree-12", "degree-13-ord-1", "mult-deep-S",
+            "S-alternating-12", "S-alternating-11-ord-1"])
+    def test_deep_root_search_is_fast(self, capsys, monkeypatch, argv, listed,
+                                      seconds, expected):
+        search, polys = polynomial._quotients_raw, []
 
         def budgeted(*args):
-            listed.append(args[1])
-            assert len(listed) <= 100, "quotients listed for over 100 polynomials"
+            polys.append(args[1])
+            assert len(polys) <= listed, f"quotients listed for over {listed} polynomials"
             return search(*args)
 
         monkeypatch.setattr(polynomial, "_quotients_raw", budgeted)
         start = time.perf_counter()
-        code, out, err = run(capsys, "roots", "--field", "quot:13:3",
-                             "--poly", coeffs, "--format", "json")
-        assert time.perf_counter() - start < 1
-        assert (code, err) == (0, "")
-        expected = {"field": "quot:13:1,3,9", "poly": coeffs, "roots": [
-            {"element": e, "multiplicity": m} for e, m in found.items()]}
-        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert time.perf_counter() - start < seconds
+        assert (code, err, len(polys)) == (0, "", listed)
+        if isinstance(expected, str):
+            assert out == (GOLDEN / expected).read_text()
+        elif isinstance(expected, list):
+            assert json.loads(out)["witness"] == expected
+        else:
+            assert out == json.dumps({
+                "field": "quot:13:1,3,9", "poly": argv[-1], "roots": [
+                    {"element": e, "multiplicity": m} for e, m in expected.items()]},
+                sort_keys=True, indent=2) + "\n"
 
 
 class TestExitCodes:

@@ -26,7 +26,7 @@ from hyperpoly import (
     quotients,
     witness_chain_valid,
 )
-from hyperpoly.polynomial import _quotients_raw, poly_sort_key
+from hyperpoly.polynomial import _quotients_raw, _Transitions, poly_sort_key
 
 # module-level references keep the parsed instances alive for the whole run
 FIELDS = [SIGN, KRASNER, WEAK_SIGN, parse_field("Fp:5"), parse_field("quot:7:2")]
@@ -158,7 +158,26 @@ def test_quotients_match_chain_then_filter(field):
     def check(p):
         c = p.values()
         for a in field.carrier_values():
-            assert _quotients_raw(field, c, a, {}) == \
+            assert _quotients_raw(field, c, a, _Transitions()) == \
+                chain_then_filter_quotients(field, c, a)
+
+    check()
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.name)
+def test_one_table_serves_a_whole_search(field):
+    """A search shares one table over many polynomials: layers, edges and
+    starts met by one call must serve the next calls unchanged."""
+    units = [v for v in field.carrier_values() if v != field.zero_value()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(polys(field, max_degree=7), min_size=2, max_size=8),
+           st.sampled_from(units))
+    def check(ps, a):
+        table = _Transitions()
+        for p in ps:
+            c = p.values()
+            assert _quotients_raw(field, c, a, table) == \
                 chain_then_filter_quotients(field, c, a)
 
     check()
@@ -166,9 +185,13 @@ def test_quotients_match_chain_then_filter(field):
 
 @pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.name)
 def test_multiplicity_and_witness_match_plain_recursion(field):
+    """The search strips T^ord and pads its witness again, so half the
+    draws are T^k times a polynomial, k = 1 to 3, at degree 7 at most."""
     @settings(max_examples=30, deadline=None)
-    @given(polys(field, max_degree=7))
-    def check(p):
+    @given(st.sampled_from((0, 0, 0, 1, 2, 3)), st.data())
+    def check(k, data):
+        p = data.draw(polys(field, max_degree=7 - k))
+        p = poly(field, [field.zero_value()] * k + list(p.values()))
         for a in field.elements():
             report = multiplicity(p, a)
             m, chain = plain_multiplicity(field, p.values(), a.value)
