@@ -24,11 +24,6 @@ from .core import (
     TropicalRay,
     check_axioms,
 )
-from .descartes import (
-    count_roots_by_sign,
-    sign_changes,
-    substitute_neg,
-)
 from .instances import (
     KRASNER,
     PHASE,
@@ -74,18 +69,30 @@ from .polynomial import (
     roots,
     witness_chain_valid,
 )
-from .pushforward import (
-    PushforwardReport,
-    verify_pushforward,
-)
-from .tropical_newton import (
-    NewtonPolygon,
-    NewtonSegment,
-    eval_function,
-    expand_roots,
-    functional_equiv,
-    in_product,
-    newton_polygon,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# modules that ``import hyperpoly.cli`` does not load, with the names they
+# export; each loads on first access (PEP 562)
+_LAZY = {
+    "descartes": ("count_roots_by_sign", "sign_changes", "substitute_neg"),
+    "pushforward": ("PushforwardReport", "verify_pushforward"),
+    "ratpoly": (),
+    "tropical_newton": ("NewtonPolygon", "NewtonSegment", "eval_function", "expand_roots",
+                        "functional_equiv", "in_product", "newton_polygon"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [name for name in dir() if not name.startswith("_")] + [*_LAZY, *_LAZY_NAMES]
+
+
+def __getattr__(name):
+    module = _LAZY_NAMES.get(name, name if name in _LAZY else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    globals()[name] = value = value if name == module else getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,8 +17,6 @@ import sys
 import warnings
 from collections import Counter
 
-from . import pushforward as pf
-from . import tropical_newton as tn
 from .core import INF, DomainError, ParseError, check_axioms
 from .instances import (
     RATIONALS,
@@ -138,6 +136,7 @@ def _parse_hint(text):
 
 
 def _cmd_descartes(args) -> int:
+    from . import pushforward as pf
     p = parse_poly(RATIONALS, args.poly)
     report = pf.verify_pushforward(sign_hom(), p, _parse_hint(args.roots))
     payload = {
@@ -159,6 +158,7 @@ def _cmd_newton(args) -> int:
         for flag, value in (("--prime", args.prime), ("--roots", args.roots)):
             if value is not None:
                 raise DomainError(f"{flag} applies only to newton over Q")
+        from . import tropical_newton as tn
         p = parse_poly(F, args.poly)
         npg = tn.newton_polygon(p)
         payload = {
@@ -189,6 +189,7 @@ def _cmd_newton(args) -> int:
             raise DomainError("--plot-data applies only to newton over T")
         if args.prime is None:
             raise DomainError("newton over Q needs --prime")
+        from . import pushforward as pf
         p = parse_poly(F, args.poly)
         report = pf.verify_pushforward(padic_hom(args.prime), p, _parse_hint(args.roots))
         # one row per slope, steepest first, inf last
@@ -250,6 +251,7 @@ def _cmd_verify(args) -> int:
     count = defaults[args.what] if args.cases is None else args.cases
     lines = []
     if args.what == "tropical":
+        from . import tropical_newton as tn
         for i, ms in enumerate(tn.random_root_multisets(count, seed)):
             p = tn.expand_roots(ms)
             if (roots(p) != Counter(ms) or not tn.in_product(p, ms)
@@ -257,6 +259,7 @@ def _cmd_verify(args) -> int:
                 listed = ", ".join(map(TROPICAL.format_value, ms))
                 lines.append(f"case={i} ok=no roots={{{listed}}}")
     else:
+        from . import pushforward as pf
         homs, pool = {
             "descartes": ((sign_hom(),), pf.DEFAULT_SPLIT_ROOT_POOL),
             "newton": ((padic_hom(2), padic_hom(3)), pf.DEFAULT_PADIC_ROOT_POOL),

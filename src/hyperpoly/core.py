@@ -12,9 +12,8 @@ import contextlib
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
 
 
 class DomainError(ValueError):
@@ -66,8 +65,47 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class Record:
+    """A mutable record without hash; its fields are its ``__slots__``."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (self._astuple() == other._astuple()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` whose fields are set once, by ``_init``, and hash as
+    their tuple.  Hot records write out their constructor, ``==`` and hash."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Element(FrozenRecord):
     """A value tagged with the hyperfield instance it belongs to.
 
     Instances are identified by object, so an element of another instance is
@@ -76,8 +114,18 @@ class Element:
     raw values.
     """
 
-    field: "Hyperfield"
-    value: Any
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: Hyperfield, value: object):
+        _set_element_field(self, field)
+        _set_element_value(self, value)
+
+    def __eq__(self, other):
+        return ((self.field, self.value) == (other.field, other.value)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.value))
 
     def __mul__(self, other: "Element") -> "Element":
         return self.field.mul(self, other)
@@ -89,10 +137,11 @@ class Element:
         return f"{self.field.name}:{self.field.format_value(self.value)}"
 
 
-class HyperSet:
+class HyperSet(FrozenRecord):
     """Result of a hyperoperation: a subset of one hyperfield's carrier."""
 
-    field: "Hyperfield"
+    __slots__ = ()
+    field: Hyperfield
 
     def contains(self, x: Element) -> bool:
         self.field.check_member(x)
@@ -105,12 +154,21 @@ class HyperSet:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FiniteSet(HyperSet):
     """A finite set of carrier values."""
 
-    field: "Hyperfield"
-    values: frozenset
+    __slots__ = ("field", "values")
+
+    def __init__(self, field: Hyperfield, values: frozenset):
+        _set_set_field(self, field)
+        _set_set_values(self, values)
+
+    def __eq__(self, other):
+        return ((self.field, self.values) == (other.field, other.values)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.values))
 
     def contains_value(self, v) -> bool:
         return v in self.values
@@ -125,12 +183,18 @@ class FiniteSet(HyperSet):
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
+# the slot setters of the hot records, which bypass the frozen __setattr__
+_set_element_field, _set_element_value = Element.field.__set__, Element.value.__set__
+_set_set_field, _set_set_values = FiniteSet.field.__set__, FiniteSet.values.__set__
+
+
 class TropicalRay(HyperSet):
     """The tropical set ``{x : x >= lower} ∪ {inf}``."""
 
-    field: "Hyperfield"
-    lower: Fraction
+    __slots__ = ("field", "lower")
+
+    def __init__(self, field: Hyperfield, lower: Fraction):
+        self._init(field, lower)
 
     def contains_value(self, v) -> bool:
         return v is INF or v >= self.lower
@@ -142,7 +206,6 @@ class TropicalRay(HyperSet):
         return f"[{self.lower}, inf]"
 
 
-@dataclass(frozen=True)
 class PhaseArc(HyperSet):
     """The open arc ``lo < q < lo + length`` of phase angles, in units of pi.
 
@@ -152,9 +215,10 @@ class PhaseArc(HyperSet):
     representation and ``==`` is set equality.
     """
 
-    field: "Hyperfield"
-    lo: Fraction
-    length: Fraction
+    __slots__ = ("field", "lo", "length")
+
+    def __init__(self, field: Hyperfield, lo: Fraction, length: Fraction):
+        self._init(field, lo, length)
 
     def contains_value(self, q) -> bool:
         if self.length == 2:
@@ -458,19 +522,19 @@ def unit_powers(F: Hyperfield) -> list | None:
     return None
 
 
-@dataclass
-class AxiomCheck:
-    axiom: str
-    passed: bool
-    witness: str | None = None
+class AxiomCheck(Record):
+    __slots__ = ("axiom", "passed", "witness")
+
+    def __init__(self, axiom: str, passed: bool, witness: str | None = None):
+        self.axiom, self.passed, self.witness = axiom, passed, witness
 
 
-@dataclass
-class AxiomReport:
-    field_name: str
-    exhaustive: bool
-    checks: list
-    notes: list
+class AxiomReport(Record):
+    __slots__ = ("field_name", "exhaustive", "checks", "notes")
+
+    def __init__(self, field_name: str, exhaustive: bool, checks: list, notes: list):
+        self.field_name, self.exhaustive, self.checks, self.notes = (
+            field_name, exhaustive, checks, notes)
 
     @property
     def passed(self) -> bool:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .core import (
     INF,
@@ -24,11 +23,13 @@ from .core import (
     Element,
     FiniteHyperfield,
     FiniteSet,
+    FrozenRecord,
     Hyperfield,
     HyperSet,
     NonEnumerableError,
     ParseError,
     PhaseArc,
+    Record,
     TropicalRay,
     unit_powers,
 )
@@ -525,7 +526,7 @@ def build_quotient(p: int, generators) -> QuotientHyperfield:
     return q
 
 
-def iso_to_named(source: Hyperfield, target: Hyperfield) -> Optional[dict]:
+def iso_to_named(source: Hyperfield, target: Hyperfield) -> dict | None:
     """Search for an isomorphism between two finite hyperfields.
 
     Both unit groups must be cyclic of one order ``n``.  An isomorphism
@@ -582,8 +583,7 @@ def _valuation(x: Fraction, p: int):
     return Fraction(k)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(FrozenRecord):
     """A map between hyperfields, with the rule it implements.
 
     ``fn`` maps raw source values to raw target values.  Calling the
@@ -596,11 +596,11 @@ class Homomorphism:
     checks them against the target's :func:`~hyperpoly.polynomial.roots`.
     """
 
-    source: Hyperfield
-    target: Hyperfield
-    fn: Callable
-    rule: str
-    count_roots: Optional[Callable] = None
+    __slots__ = ("source", "target", "fn", "rule", "count_roots")
+
+    def __init__(self, source: Hyperfield, target: Hyperfield, fn: Callable, rule: str,
+                 count_roots: Callable | None = None):
+        self._init(source, target, fn, rule, count_roots)
 
     def __call__(self, x: Element) -> Element:
         self.source.check_member(x)
@@ -636,10 +636,11 @@ def table_hom(source: Hyperfield, target: Hyperfield, table: dict,
     return Homomorphism(source, target, table.__getitem__, rule)
 
 
-@dataclass
-class HomomorphismReport:
-    rule: str
-    violations: list
+class HomomorphismReport(Record):
+    __slots__ = ("rule", "violations")
+
+    def __init__(self, rule: str, violations: list):
+        self.rule, self.violations = rule, violations
 
     @property
     def passed(self) -> bool:

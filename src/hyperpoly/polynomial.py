@@ -6,13 +6,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .core import (
     DomainError,
     Element,
     FiniteSet,
+    FrozenRecord,
     Hyperfield,
     HyperSet,
     NonEnumerableError,
@@ -20,8 +20,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(FrozenRecord):
     """Raw coefficient values c0..cn (ascending degree) over one hyperfield.
 
     Normalized: the top coefficient is nonzero; the zero polynomial is the
@@ -29,8 +28,18 @@ class Poly:
     check them.
     """
 
-    field: Hyperfield
-    raw: tuple
+    __slots__ = ("field", "raw")
+
+    def __init__(self, field: Hyperfield, raw: tuple):
+        _set_poly_field(self, field)
+        _set_poly_raw(self, raw)
+
+    def __eq__(self, other):
+        return ((self.field, self.raw) == (other.field, other.raw)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.raw))
 
     def is_zero(self) -> bool:
         return not self.raw
@@ -51,6 +60,9 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.field.name}: {format_poly(self)})"
+
+
+_set_poly_field, _set_poly_raw = Poly.field.__set__, Poly.raw.__set__
 
 
 def _stripped(values: tuple, zero) -> tuple:
@@ -236,18 +248,18 @@ def divides_with_quotient(p: Poly, a: Element, q: Poly) -> bool:
                .contains_value(c[i]) for i in range(1, n))
 
 
-@dataclass(frozen=True)
-class MultReport:
+class MultReport(FrozenRecord):
     """A root multiplicity with its provenance and a replayable witness chain.
 
     The chain lists successive quotient polynomials: p in (T-a) chain[0],
     chain[0] in (T-a) chain[1], and so on; its length equals the multiplicity.
+    ``method`` is "recursive", "newton-polygon" or "zero-order".
     """
 
-    element: Element
-    multiplicity: int
-    method: str  # "recursive" | "newton-polygon" | "zero-order"
-    witness: tuple
+    __slots__ = ("element", "multiplicity", "method", "witness")
+
+    def __init__(self, element: Element, multiplicity: int, method: str, witness: tuple):
+        self._init(element, multiplicity, method, witness)
 
 
 def multiplicity(p: Poly, a: Element) -> MultReport:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import polynomial, ratpoly
-from .core import DomainError
+from .core import DomainError, FrozenRecord
 from .instances import RATIONALS, Homomorphism
 from .polynomial import Poly, poly
 
@@ -30,19 +29,20 @@ DEFAULT_PADIC_ROOT_POOL = tuple(Fraction(x) for x in
                                 ("1", "-1", "2", "-2", "4", "-4", "1/2", "-1/2", "3", "-3"))
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
-    hom: Homomorphism
-    poly: Poly
-    image: Poly               # f(p)
-    bounds: dict              # b -> mult_b(f(p)), nonzero entries only
-    counts: Optional[dict]    # b -> roots of p sent to b; None when unknown
-    split_certified: bool
-    ok: bool
+class PushforwardReport(FrozenRecord):
+    __slots__ = ("hom", "poly",
+                 "image",   # f(p)
+                 "bounds",  # b -> mult_b(f(p)), nonzero entries only
+                 "counts",  # b -> roots of p sent to b; None when unknown
+                 "split_certified", "ok")
+
+    def __init__(self, hom: Homomorphism, poly: Poly, image: Poly, bounds: dict,
+                 counts: dict | None, split_certified: bool, ok: bool):
+        self._init(hom, poly, image, bounds, counts, split_certified, ok)
 
 
 def verify_pushforward(hom: Homomorphism, p: Poly,
-                       roots: Optional[Sequence] = None) -> PushforwardReport:
+                       roots: Sequence | None = None) -> PushforwardReport:
     """Check that the roots of p that ``hom`` sends to b number at most
     mult_b(hom(p)), for every b.
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import INF, DomainError, Element
+from .core import INF, DomainError, Element, FrozenRecord
 from .instances import TROPICAL, TropicalHyperfield
 from .polynomial import (
     MultReport,
@@ -30,17 +29,21 @@ from .polynomial import (
 )
 
 
-@dataclass(frozen=True)
-class NewtonSegment:
-    slope: Fraction  # the negative of the geometric slope
-    length: int      # horizontal extent
+class NewtonSegment(FrozenRecord):
+    __slots__ = ("slope",   # the negative of the geometric slope
+                 "length")  # horizontal extent
+
+    def __init__(self, slope: Fraction, length: int):
+        self._init(slope, length)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    vertices: tuple     # ((i, c_i), ...) on the lower hull, left to right
-    segments: tuple     # NewtonSegment, slope strictly decreasing
-    inf_prefix: int     # leading coefficients equal to inf
+class NewtonPolygon(FrozenRecord):
+    __slots__ = ("vertices",    # ((i, c_i), ...) on the lower hull, left to right
+                 "segments",    # NewtonSegment, slope strictly decreasing
+                 "inf_prefix")  # leading coefficients equal to inf
+
+    def __init__(self, vertices: tuple, segments: tuple, inf_prefix: int):
+        self._init(vertices, segments, inf_prefix)
 
     def roots(self) -> dict:
         """Root multiplicities by raw value, ascending with inf last: each

@@ -20,7 +20,6 @@ commute, so its associativity verdict counts only on commutative tables.
 
 import itertools
 import tracemalloc
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -105,7 +104,6 @@ def cubic_axioms(F) -> dict:
     }
 
 
-@dataclass
 class RefSkipped(AxiomCheck):
     """A reduced check of the reference that found no counterexample while
     one of its premises failed."""

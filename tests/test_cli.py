@@ -1,6 +1,5 @@
 """Command-line behavior: verbs, exit codes, formats, and golden JSON."""
 
-import dataclasses
 import json
 import pathlib
 import re
@@ -192,7 +191,9 @@ class TestVerbs:
             report = real(hom, p, roots)
             calls.append(p)
             if len(calls) == 4:  # corpus case 1 under its second prime
-                return dataclasses.replace(report, ok=False)
+                return pushforward.PushforwardReport(
+                    report.hom, report.poly, report.image, report.bounds,
+                    report.counts, report.split_certified, ok=False)
             return report
 
         monkeypatch.setattr(pushforward, "verify_pushforward", fail_fourth)
