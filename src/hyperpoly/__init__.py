@@ -1,12 +1,14 @@
 """Root multiplicities for polynomials over hyperfields, exactly.
 
-Hyperfields replace single-valued addition with set-valued hyperaddition;
-roots and their multiplicities are defined through multi-valued linear
-division.  Over the sign hyperfield the multiplicity of 1 counts coefficient
-sign changes, over the tropical hyperfield the multiplicity of s is a Newton
-polygon segment length.  One harness, ``verify_pushforward``, checks that a
-homomorphism f sends at most mult_b(f(p)) roots of p to b; with f = sign it
-is Descartes' rule, with f = the p-adic valuation the Newton polygon rule.
+Hyperfields replace single-valued addition with set-valued hyperaddition,
+read on raw values (``F.hyperadd_values``, ``F.hypersum_values``,
+``HyperSet.contains_value``).  Roots and their multiplicities are defined
+through multi-valued linear division.  Over the sign hyperfield the
+multiplicity of 1 counts coefficient sign changes, over the tropical
+hyperfield the multiplicity of s is a Newton polygon segment length.  One
+harness, ``verify_pushforward``, checks that a homomorphism f sends at most
+mult_b(f(p)) roots of p to b; with f = sign it is Descartes' rule, with
+f = the p-adic valuation the Newton polygon rule.
 """
 
 from .core import (
@@ -39,10 +41,8 @@ from .instances import (
     TropicalHyperfield,
     build_quotient,
     check_homomorphism,
-    iso_to_named,
     krasner_hyperfield,
     padic_hom,
-    padic_valuation,
     parse_field,
     parse_homomorphism,
     quotient_projection,
@@ -56,15 +56,12 @@ from .polynomial import (
     divides_with_quotient,
     eval_hyperset,
     format_poly,
-    hyper_add_poly,
     hyper_mul_poly,
     hyper_product,
     is_root,
-    linear_poly,
     multiplicity,
     parse_poly,
     poly,
-    poly_from_elements,
     quotients,
     roots,
     witness_chain_valid,
@@ -76,8 +73,8 @@ _LAZY = {
     "descartes": ("count_roots_by_sign", "sign_changes", "substitute_neg"),
     "pushforward": ("PushforwardReport", "verify_pushforward"),
     "ratpoly": (),
-    "tropical_newton": ("NewtonPolygon", "NewtonSegment", "eval_function", "expand_roots",
-                        "functional_equiv", "in_product", "newton_polygon"),
+    "tropical_newton": ("NewtonPolygon", "NewtonSegment", "expand_roots", "functional_equiv",
+                        "in_product", "newton_polygon"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 

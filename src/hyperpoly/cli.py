@@ -11,7 +11,6 @@ JSON with ``--format json``.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -42,6 +41,8 @@ from .polynomial import (
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in text_lines:

@@ -12,7 +12,6 @@ import contextlib
 import functools
 import itertools
 import operator
-from collections.abc import Sequence
 from fractions import Fraction
 
 
@@ -138,19 +137,13 @@ class Element(FrozenRecord):
 
 
 class HyperSet(FrozenRecord):
-    """Result of a hyperoperation: a subset of one hyperfield's carrier."""
+    """Result of a hyperoperation: a subset of one hyperfield's carrier,
+    tested one raw value at a time by :meth:`contains_value`."""
 
     __slots__ = ()
     field: Hyperfield
 
-    def contains(self, x: Element) -> bool:
-        self.field.check_member(x)
-        return self.contains_value(x.value)
-
     def contains_value(self, v) -> bool:
-        raise NotImplementedError
-
-    def enumerate(self) -> list[Element]:
         raise NotImplementedError
 
 
@@ -173,10 +166,6 @@ class FiniteSet(HyperSet):
     def contains_value(self, v) -> bool:
         return v in self.values
 
-    def enumerate(self) -> list[Element]:
-        ordered = sorted(self.values, key=self.field.sort_key)
-        return [Element(self.field, v) for v in ordered]
-
     def __repr__(self) -> str:
         inner = ", ".join(self.field.format_value(v)
                           for v in sorted(self.values, key=self.field.sort_key))
@@ -198,9 +187,6 @@ class TropicalRay(HyperSet):
 
     def contains_value(self, v) -> bool:
         return v is INF or v >= self.lower
-
-    def enumerate(self) -> list[Element]:
-        raise NonEnumerableError(f"tropical ray [{self.lower}, inf] is infinite")
 
     def __repr__(self) -> str:
         return f"[{self.lower}, inf]"
@@ -225,9 +211,6 @@ class PhaseArc(HyperSet):
             return True
         return q is not None and 0 < (q - self.lo) % 2 < self.length
 
-    def enumerate(self) -> list[Element]:
-        raise NonEnumerableError("phase arcs are infinite")
-
     def __repr__(self) -> str:
         if self.length == 2:
             return "{zero, every angle}"
@@ -237,9 +220,11 @@ class PhaseArc(HyperSet):
 class Hyperfield:
     """Base class for hyperfield instances.
 
-    Subclasses provide the carrier conventions and the raw-value operations;
-    the base class wraps them in the element-level API and supplies the
-    generic recursive hypersum.  Instances compare by object identity.
+    Subclasses provide the carrier conventions and the raw-value operations,
+    sums included; the base class supplies the generic recursive hypersum.
+    Sums are read on raw values only.  :class:`Element` wraps values at the
+    boundary (``element``, ``mul``, ``neg``), which checks membership once.
+    Instances compare by object identity.
     """
 
     name: str
@@ -349,11 +334,6 @@ class Hyperfield:
         if not isinstance(a, Element) or a.field is not self:
             raise DomainError(f"element {a!r} does not belong to {self.name}")
 
-    def hyperadd(self, a: Element, b: Element) -> HyperSet:
-        self.check_member(a)
-        self.check_member(b)
-        return self.hyperadd_values(a.value, b.value)
-
     def mul(self, a: Element, b: Element) -> Element:
         self.check_member(a)
         self.check_member(b)
@@ -362,19 +342,6 @@ class Hyperfield:
     def neg(self, a: Element) -> Element:
         self.check_member(a)
         return Element(self, self.neg_value(a.value))
-
-    def inv(self, a: Element) -> Element:
-        self.check_member(a)
-        if a.value == self.zero_value():
-            raise DomainError(f"{self.name}: zero has no multiplicative inverse")
-        return Element(self, self.inv_value(a.value))
-
-    def hypersum(self, terms: Sequence[Element]) -> HyperSet:
-        """n-ary hypersum, the union over all partial-sum choices."""
-        terms = list(terms)
-        for t in terms:
-            self.check_member(t)
-        return self.hypersum_values(t.value for t in terms)
 
     # -- root multiplicities ------------------------------------------------
 

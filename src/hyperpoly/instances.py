@@ -12,7 +12,6 @@ that :func:`~hyperpoly.polynomial.roots` and
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from collections.abc import Callable
 from fractions import Fraction
@@ -31,7 +30,6 @@ from .core import (
     PhaseArc,
     Record,
     TropicalRay,
-    unit_powers,
 )
 from .polynomial import split_parts
 
@@ -526,49 +524,7 @@ def build_quotient(p: int, generators) -> QuotientHyperfield:
     return q
 
 
-def iso_to_named(source: Hyperfield, target: Hyperfield) -> dict | None:
-    """Search for an isomorphism between two finite hyperfields.
-
-    Both unit groups must be cyclic of one order ``n``.  An isomorphism
-    fixes 0 and 1 and sends a generator ``g`` of the source to a generator
-    ``h`` of the target, so it is enough to try ``g^i -> h^i`` for each
-    ``h`` and keep a map that carries both tables onto the target's.
-    Returns an element-to-element dict or None.
-    """
-    if not (source.is_finite() and target.is_finite()):
-        raise NonEnumerableError("isomorphism search needs finite instances")
-    powers, target_powers = unit_powers(source), unit_powers(target)
-    if not (powers and target_powers and len(powers) == len(target_powers)):
-        return None
-    n = len(powers)
-    target_log = {v: k for k, v in enumerate(target_powers)}
-    values = source.carrier_values()
-    for h in target.carrier_values():
-        k = target_log.get(h)
-        if k is None or math.gcd(k, n) != 1:
-            continue
-        mapping = {source.zero_value(): target.zero_value()}
-        mapping.update((x, target_powers[i * k % n]) for i, x in enumerate(powers))
-        if all(
-            mapping[source.mul_values(a, b)]
-            == target.mul_values(mapping[a], mapping[b])
-            and frozenset(mapping[x] for x in source.hyperadd_raw(a, b))
-            == target.hyperadd_raw(mapping[a], mapping[b])
-            for a in values for b in values
-        ):
-            return {Element(source, x): Element(target, y)
-                    for x, y in mapping.items()}
-    return None
-
-
 # -- homomorphisms --------------------------------------------------------------
-
-
-def padic_valuation(x, p: int) -> Element:
-    """The p-adic valuation of a rational, as a tropical element; v(0) = inf."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return Element(TROPICAL, _valuation(RATIONALS.validate_value(x), p))
 
 
 def _valuation(x: Fraction, p: int):

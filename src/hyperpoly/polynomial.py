@@ -79,12 +79,6 @@ def poly(field: Hyperfield, values: Iterable) -> Poly:
                                  field.zero_value()))
 
 
-def poly_from_elements(field: Hyperfield, elems: Sequence[Element]) -> Poly:
-    for e in elems:
-        field.check_member(e)
-    return poly(field, [e.value for e in elems])
-
-
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -136,12 +130,6 @@ def eval_hyperset(p: Poly, a: Element) -> HyperSet:
 
 def is_root(p: Poly, a: Element) -> bool:
     return eval_hyperset(p, a).contains_value(p.field.zero_value())
-
-
-def linear_poly(field: Hyperfield, a: Element) -> Poly:
-    """The monic linear polynomial T - a."""
-    field.check_member(a)
-    return Poly(field, (field.neg_value(a.value), field.one_value()))
 
 
 class _Transitions:
@@ -362,7 +350,7 @@ def witness_chain_valid(p: Poly, report: MultReport) -> bool:
 HYPERPRODUCT_CHOICE_LIMIT = 10**6
 
 
-def _choices(F: Hyperfield, sums: list, spent: list) -> set:
+def _choices(sums: list, spent: list) -> set:
     """Every raw coefficient tuple whose i-th value is chosen from ``sums[i]``.
 
     ``spent[0]`` counts one hyperoperation's choices so far; a step that would
@@ -376,15 +364,13 @@ def _choices(F: Hyperfield, sums: list, spent: list) -> set:
     if spent[0] > HYPERPRODUCT_CHOICE_LIMIT:
         raise DomainError(f"enumeration would reach {spent[0]} coefficient choices, "
                           f"more than the limit {HYPERPRODUCT_CHOICE_LIMIT}")
-    zero = F.zero_value()
-    if options and zero in options[-1]:  # the top cancels only in a coefficientwise sum
-        return {_stripped(t, zero) for t in itertools.product(*options)}
     return set(itertools.product(*options))
 
 
 def _mul_raw(F: Hyperfield, c: tuple, d: tuple, sums: dict, spent: list) -> set:
     """Raw tuples of the Cauchy-product hypersum of nonzero ``c`` and ``d``;
-    ``sums`` caches each tuple of terms' hypersum."""
+    ``sums`` caches each tuple of terms' hypersum.  The top option is the
+    unit ``c[n] d[m]`` alone, so no tuple has a trailing zero."""
     n, m = len(c) - 1, len(d) - 1
     options = []
     for i in range(n + m + 1):
@@ -394,17 +380,7 @@ def _mul_raw(F: Hyperfield, c: tuple, d: tuple, sums: dict, spent: list) -> set:
         if s is None:
             s = sums[terms] = F.hypersum_values(terms)
         options.append(s)
-    return _choices(F, options, spent)
-
-
-def hyper_add_poly(p: Poly, q: Poly) -> frozenset:
-    """Coefficientwise hypersum: every choice of e_i in c_i + d_i."""
-    F = p.field
-    if q.field is not F:
-        raise DomainError("polynomials over different instances")
-    pairs = itertools.zip_longest(p.values(), q.values(), fillvalue=F.zero_value())
-    sums = [F.hyperadd_values(x, y) for x, y in pairs]
-    return frozenset(Poly(F, t) for t in _choices(F, sums, [0]))
+    return _choices(options, spent)
 
 
 def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:

@@ -117,18 +117,6 @@ def _cleared(values, den) -> list:
             for i, v in enumerate(values) if v is not INF]
 
 
-def eval_function(p: Poly, b) -> Fraction:
-    """The min-plus polynomial function: min over i of c_i + i*b."""
-    if not isinstance(p.field, TropicalHyperfield):
-        raise DomainError("eval_function expects a polynomial over T")
-    if p.is_zero():
-        raise DomainError("the zero polynomial has no function value")
-    b = TROPICAL.validate_value(b)
-    if b is INF:
-        raise DomainError("eval_function needs a finite argument")
-    return min(v + i * b for i, v in enumerate(p.values()) if v is not INF)
-
-
 def _check_monic_roots(p: Poly, roots) -> list:
     if not isinstance(p.field, TropicalHyperfield):
         raise DomainError("expected a polynomial over T")

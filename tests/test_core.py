@@ -11,7 +11,6 @@ from hyperpoly import (
     FiniteHyperfield,
     FiniteSet,
     KRASNER,
-    NonEnumerableError,
     PHASE,
     SIGN,
     TROPICAL,
@@ -30,34 +29,34 @@ def fset(field, *values):
 
 class TestInstanceRules:
     def test_sign_opposite_pair_sums_to_everything(self):
-        s = SIGN.hyperadd(SIGN.element(1), SIGN.element(-1))
+        s = SIGN.hyperadd_values(1, -1)
         assert s == fset(SIGN, 0, 1, -1)
 
     def test_sign_neutral(self):
-        assert SIGN.hyperadd(SIGN.element(0), SIGN.element(1)) == fset(SIGN, 1)
+        assert SIGN.hyperadd_values(0, 1) == fset(SIGN, 1)
 
     def test_sign_equal_arguments(self):
-        assert SIGN.hyperadd(SIGN.element(1), SIGN.element(1)) == fset(SIGN, 1)
-        assert SIGN.hyperadd(SIGN.element(-1), SIGN.element(-1)) == fset(SIGN, -1)
+        assert SIGN.hyperadd_values(1, 1) == fset(SIGN, 1)
+        assert SIGN.hyperadd_values(-1, -1) == fset(SIGN, -1)
 
     def test_weak_sign_equal_arguments(self):
-        assert WEAK_SIGN.hyperadd(WEAK_SIGN.element(1), WEAK_SIGN.element(1)) \
+        assert WEAK_SIGN.hyperadd_values(1, 1) \
             == fset(WEAK_SIGN, 1, -1)
 
     def test_krasner_one_plus_one(self):
-        assert KRASNER.hyperadd(KRASNER.element(1), KRASNER.element(1)) \
+        assert KRASNER.hyperadd_values(1, 1) \
             == fset(KRASNER, 0, 1)
 
     def test_tropical_equal_arguments_give_ray(self):
-        s = TROPICAL.hyperadd(TROPICAL.element(3), TROPICAL.element(3))
+        s = TROPICAL.hyperadd_values(Fraction(3), Fraction(3))
         assert s == TropicalRay(TROPICAL, Fraction(3))
 
     def test_tropical_distinct_arguments_give_min(self):
-        s = TROPICAL.hyperadd(TROPICAL.element(1), TROPICAL.element(4))
+        s = TROPICAL.hyperadd_values(Fraction(1), Fraction(4))
         assert s == fset(TROPICAL, Fraction(1))
 
     def test_phase_antipodal_arguments(self):
-        s = PHASE.hyperadd(PHASE.element(0), PHASE.element(1))
+        s = PHASE.hyperadd_values(Fraction(0), Fraction(1))
         assert s == fset(PHASE, None, Fraction(0), Fraction(1))
 
     def test_tropical_mul_is_addition(self):
@@ -86,29 +85,26 @@ class TestInstanceRules:
 class TestHypersum:
     def test_sign_recursive_union(self):
         # (1+1)={1}, then 1+(-1)={0,1,-1}
-        terms = [SIGN.element(v) for v in (1, 1, -1)]
-        assert SIGN.hypersum(terms) == fset(SIGN, 0, 1, -1)
+        assert SIGN.hypersum_values([1, 1, -1]) == fset(SIGN, 0, 1, -1)
 
     def test_tropical_min_attained_twice_gives_ray(self):
-        terms = [TROPICAL.element(v) for v in (2, 2, 5)]
-        assert TROPICAL.hypersum(terms) == TropicalRay(TROPICAL, Fraction(2))
+        terms = [Fraction(v) for v in (2, 2, 5)]
+        assert TROPICAL.hypersum_values(terms) == TropicalRay(TROPICAL, Fraction(2))
 
     def test_krasner_pair(self):
-        terms = [KRASNER.element(1), KRASNER.element(1)]
-        assert KRASNER.hypersum(terms) == fset(KRASNER, 0, 1)
+        assert KRASNER.hypersum_values([1, 1]) == fset(KRASNER, 0, 1)
 
     def test_empty_sum_is_zero(self):
-        assert SIGN.hypersum([]) == fset(SIGN, 0)
-        assert TROPICAL.hypersum([]) == fset(TROPICAL, INF)
+        assert SIGN.hypersum_values([]) == fset(SIGN, 0)
+        assert TROPICAL.hypersum_values([]) == fset(TROPICAL, INF)
 
     @pytest.mark.parametrize("field", [SIGN, WEAK_SIGN, KRASNER])
     def test_order_independence_exhaustive(self, field):
         values = field.carrier_values()
         for terms in itertools.product(values, repeat=3):
-            elems = [field.element(v) for v in terms]
-            expected = field.hypersum(elems)
-            for perm in itertools.permutations(elems):
-                assert field.hypersum(list(perm)) == expected
+            expected = field.hypersum_values(terms)
+            for perm in itertools.permutations(terms):
+                assert field.hypersum_values(perm) == expected
 
     def test_tropical_closed_form_matches_recursive_union(self):
         # the minimum of the finite terms, alone once, a ray when repeated
@@ -122,59 +118,39 @@ class TestHypersum:
                     closed = FiniteSet(TROPICAL, frozenset({min(finite)}))
                 else:
                     closed = TropicalRay(TROPICAL, min(finite))
-                elems = [TROPICAL.element(v) for v in terms]
-                assert TROPICAL.hypersum(elems) == closed, terms
+                assert TROPICAL.hypersum_values(terms) == closed, terms
 
     def test_tropical_sum_contains_inf_iff_min_repeats(self):
         grid = TROPICAL.sample_values()
-        inf_elem = TROPICAL.element(INF)
         for n in range(1, 5):
             for terms in itertools.product(grid, repeat=n):
-                elems = [TROPICAL.element(v) for v in terms]
-                s = TROPICAL.hypersum(elems)
+                s = TROPICAL.hypersum_values(terms)
                 finite = [v for v in terms if v is not INF]
                 expects_inf = (not finite) or finite.count(min(finite)) >= 2
-                assert s.contains(inf_elem) == expects_inf
+                assert s.contains_value(INF) == expects_inf
 
 
 class TestMembership:
     def test_ray_membership(self):
         ray = TropicalRay(TROPICAL, Fraction(3))
-        assert ray.contains(TROPICAL.element(10))
-        assert ray.contains(TROPICAL.element(INF))
-        assert ray.contains(TROPICAL.element(3))
-        assert not ray.contains(TROPICAL.element(Fraction(5, 2)))
+        assert ray.contains_value(Fraction(10))
+        assert ray.contains_value(INF)
+        assert ray.contains_value(Fraction(3))
+        assert not ray.contains_value(Fraction(5, 2))
 
     def test_arc_membership(self):
-        s = PHASE.hyperadd(PHASE.element(0), PHASE.element(Fraction(2, 3)))
-        assert s.contains(PHASE.element(Fraction(1, 3)))
-        assert not s.contains(PHASE.element(1))
-        assert not s.contains(PHASE.element(0))  # arcs are open
-
-    def test_enumerate_finite_is_sorted(self):
-        s = SIGN.hyperadd(SIGN.element(1), SIGN.element(-1))
-        assert [e.value for e in s.enumerate()] == [-1, 0, 1]
-
-    def test_enumerate_infinite_raises(self):
-        ray = TROPICAL.hyperadd(TROPICAL.element(3), TROPICAL.element(3))
-        with pytest.raises(NonEnumerableError):
-            ray.enumerate()
-        arc = PHASE.hyperadd(PHASE.element(0), PHASE.element(Fraction(2, 3)))
-        with pytest.raises(NonEnumerableError):
-            arc.enumerate()
+        s = PHASE.hyperadd_values(Fraction(0), Fraction(2, 3))
+        assert s.contains_value(Fraction(1, 3))
+        assert not s.contains_value(Fraction(1))
+        assert not s.contains_value(Fraction(0))  # arcs are open
 
 
 class TestErrors:
     def test_cross_instance_mix(self):
         with pytest.raises(DomainError):
-            SIGN.hyperadd(SIGN.element(1), WEAK_SIGN.element(1))
+            SIGN.mul(SIGN.element(1), WEAK_SIGN.element(1))
         with pytest.raises(DomainError):
             TROPICAL.mul(TROPICAL.element(1), SIGN.element(1))
-
-    def test_inverse_of_zero(self):
-        for field in (SIGN, TROPICAL, PHASE, RationalField(), PrimeField(5)):
-            with pytest.raises(DomainError):
-                field.inv(field.zero())
 
     def test_bad_element_values(self):
         with pytest.raises(DomainError):
@@ -235,12 +211,11 @@ class TestAxioms:
     def test_unique_inverse_exhaustively(self):
         for field in (SIGN, KRASNER, WEAK_SIGN, PrimeField(7),
                       build_quotient(7, [2])):
-            zero = field.zero()
-            for a in field.elements():
-                matches = [x for x in field.elements()
-                           if field.hyperadd(a, x).contains(zero)]
-                assert len(matches) == 1
-                assert matches[0] == field.neg(a)
+            zero, values = field.zero_value(), field.carrier_values()
+            for a in values:
+                matches = [x for x in values
+                           if field.hyperadd_values(a, x).contains_value(zero)]
+                assert matches == [field.neg_value(a)]
 
     def test_phase_report_carries_convention_note(self):
         report = check_axioms(PHASE)

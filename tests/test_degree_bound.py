@@ -20,7 +20,6 @@ from hyperpoly import (
     TROPICAL,
     expand_roots,
     hyper_mul_poly,
-    linear_poly,
     parse_field,
     parse_poly,
     poly,
@@ -49,9 +48,9 @@ def split_polys(draw, field):
     p = poly(field, [field.zero_value()] * draw(st.integers(0, 2))
              + [draw(st.sampled_from(_nonzero(field)))])
     for _ in range(draw(st.integers(1, 6))):
-        a = field.element(draw(st.sampled_from(_nonzero(field))))
-        p = draw(st.sampled_from(sorted(hyper_mul_poly(linear_poly(field, a), p),
-                                        key=poly_sort_key)))
+        a = draw(st.sampled_from(_nonzero(field)))
+        t_minus_a = poly(field, [field.neg_value(a), field.one_value()])
+        p = draw(st.sampled_from(sorted(hyper_mul_poly(t_minus_a, p), key=poly_sort_key)))
     return p
 
 

@@ -55,7 +55,7 @@ class TestNameCollisions:
         other = sign_hyperfield()
         assert other.name == SIGN.name
         with pytest.raises(DomainError):
-            SIGN.hyperadd(SIGN.element(1), other.element(1))
+            SIGN.mul(SIGN.element(1), other.element(1))
 
     def test_shared_memo_keeps_instances_apart(self):
         weak_named_s = table_copy("S", WEAK_SIGN)
@@ -76,8 +76,7 @@ class TestInterning:
         assert build_quotient(7, [2, 4]) is q
         assert build_quotient(7, [3]) is not q
         # elements of one parse are accepted by the next
-        s = parse_field("quot:7:1,2,4").hyperadd(q.one(), q.one())
-        assert s.contains(q.one())
+        assert parse_field("quot:7:1,2,4").mul(q.one(), q.one()) == q.one()
 
     def test_live_quotient_is_returned_without_a_build(self, monkeypatch):
         q = build_quotient(11, [3])
@@ -95,8 +94,7 @@ class TestInterning:
         F = parse_field("Fp:7")
         assert parse_field("Fp:7") is F
         assert parse_field("Fp:5") is not F
-        s = parse_field("Fp:7").hyperadd(F.element(3), F.element(5))
-        assert [e.value for e in s.enumerate()] == [1]
+        assert parse_field("Fp:7").hyperadd_raw(3, 5) == {1}
         assert quotient_projection(build_quotient(7, [2])).source is F
 
     @staticmethod
@@ -114,7 +112,7 @@ class TestInterning:
             gc.enable()
 
     def test_dead_quotients_are_not_retained(self):
-        self.assert_freed_after_use(lambda F: F.hyperadd(F.one(), F.one()))
+        self.assert_freed_after_use(lambda F: F.hyperadd_values(F.one_value(), F.one_value()))
 
     def test_hyper_product_keeps_no_instance_alive(self):
         self.assert_freed_after_use(

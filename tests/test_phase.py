@@ -18,11 +18,11 @@ from hyperpoly import (
 
 
 def angle(q):
-    return PHASE.element(Fraction(q))
+    return PHASE.validate_value(Fraction(q))
 
 
 def members(s, qs):
-    return {q for q in qs if s.contains(angle(q))}
+    return {q for q in qs if s.contains_value(angle(q))}
 
 
 SAMPLE_ANGLES = [Fraction(n, 24) for n in range(48)]
@@ -30,61 +30,59 @@ SAMPLE_ANGLES = [Fraction(n, 24) for n in range(48)]
 
 class TestBinaryRules:
     def test_minor_arc(self):
-        s = PHASE.hyperadd(angle(0), angle(Fraction(2, 3)))
+        s = PHASE.hyperadd_values(angle(0), angle(Fraction(2, 3)))
         assert isinstance(s, PhaseArc)
-        assert s.contains(angle(Fraction(1, 3)))
-        assert not s.contains(angle(0))
-        assert not s.contains(angle(Fraction(2, 3)))
-        assert not s.contains(PHASE.zero())
+        assert s.contains_value(angle(Fraction(1, 3)))
+        assert not s.contains_value(angle(0))
+        assert not s.contains_value(angle(Fraction(2, 3)))
+        assert not s.contains_value(PHASE.zero_value())
 
     def test_minor_arc_goes_the_short_way(self):
-        s = PHASE.hyperadd(angle(Fraction(1, 4)), angle(Fraction(7, 4)))
-        assert s.contains(angle(0))
-        assert not s.contains(angle(1))
+        s = PHASE.hyperadd_values(angle(Fraction(1, 4)), angle(Fraction(7, 4)))
+        assert s.contains_value(angle(0))
+        assert not s.contains_value(angle(1))
 
     def test_antipodal_triple(self):
-        s = PHASE.hyperadd(angle(Fraction(1, 2)), angle(Fraction(3, 2)))
+        s = PHASE.hyperadd_values(angle(Fraction(1, 2)), angle(Fraction(3, 2)))
         assert s == FiniteSet(PHASE, frozenset({None, Fraction(1, 2),
                                                 Fraction(3, 2)}))
 
     def test_equal_arguments_collapse(self):
-        s = PHASE.hyperadd(angle(Fraction(2, 3)), angle(Fraction(2, 3)))
+        s = PHASE.hyperadd_values(angle(Fraction(2, 3)), angle(Fraction(2, 3)))
         assert s == FiniteSet(PHASE, frozenset({Fraction(2, 3)}))
 
     def test_zero_is_neutral(self):
-        s = PHASE.hyperadd(PHASE.zero(), angle(Fraction(5, 3)))
+        s = PHASE.hyperadd_values(PHASE.zero_value(), angle(Fraction(5, 3)))
         assert s == FiniteSet(PHASE, frozenset({Fraction(5, 3)}))
 
     def test_commutative_on_grid(self):
         grid = PHASE.sample_values()
         for x, y in itertools.product(grid, repeat=2):
-            a, b = PHASE.element(x), PHASE.element(y)
-            assert PHASE.hyperadd(a, b) == PHASE.hyperadd(b, a)
+            assert PHASE.hyperadd_values(x, y) == PHASE.hyperadd_values(y, x)
 
 
 class TestHypersums:
     def test_half_circle_from_three_directions(self):
         # 1 + i + (-1): every ray x - z + iy with x, y, z > 0
         terms = [angle(0), angle(Fraction(1, 2)), angle(1)]
-        s = PHASE.hypersum(terms)
+        s = PHASE.hypersum_values(terms)
         assert members(s, SAMPLE_ANGLES) == \
             {q for q in SAMPLE_ANGLES if 0 < q < 1}
-        assert not s.contains(PHASE.zero())
+        assert not s.contains_value(PHASE.zero_value())
 
     def test_full_circle_from_four_directions(self):
         terms = [angle(0), angle(Fraction(1, 2)), angle(1), angle(Fraction(3, 2))]
-        s = PHASE.hypersum(terms)
+        s = PHASE.hypersum_values(terms)
         for q in SAMPLE_ANGLES:
-            assert s.contains(angle(q))
-        assert s.contains(PHASE.zero())
+            assert s.contains_value(angle(q))
+        assert s.contains_value(PHASE.zero_value())
 
     def test_order_independence_on_grid(self):
         grid = [None, Fraction(0), Fraction(1, 2), Fraction(1)]
         for terms in itertools.product(grid, repeat=3):
-            elems = [PHASE.element(v) for v in terms]
-            expected = PHASE.hypersum(elems)
-            for perm in itertools.permutations(elems):
-                assert PHASE.hypersum(list(perm)) == expected
+            expected = PHASE.hypersum_values(terms)
+            for perm in itertools.permutations(terms):
+                assert PHASE.hypersum_values(perm) == expected
 
 
 class TestInfiniteRoots:
@@ -95,17 +93,17 @@ class TestInfiniteRoots:
     def test_roots_strictly_between_half_pi_and_three_half_pi(self, q):
         assert Fraction(1, 2) < q < Fraction(3, 2)
         p = poly(PHASE, self.QUADRATIC)
-        assert is_root(p, angle(q))
+        assert is_root(p, PHASE.element(q))
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 2), Fraction(0),
                                    Fraction(1, 4), Fraction(7, 4)])
     def test_non_roots_outside_the_open_range(self, q):
         p = poly(PHASE, self.QUADRATIC)
-        assert not is_root(p, angle(q))
+        assert not is_root(p, PHASE.element(q))
 
     def test_evaluation_at_minus_one_gives_antipodal_triple(self):
         p = poly(PHASE, self.QUADRATIC)
-        s = eval_hyperset(p, angle(1))
+        s = eval_hyperset(p, PHASE.element(1))
         assert s == FiniteSet(PHASE, frozenset({None, Fraction(0), Fraction(1)}))
 
 

@@ -22,11 +22,9 @@ from hyperpoly import (
     divides_with_quotient,
     eval_hyperset,
     format_poly,
-    hyper_add_poly,
     hyper_mul_poly,
     hyper_product,
     is_root,
-    linear_poly,
     multiplicity,
     parse_poly,
     poly,
@@ -84,13 +82,13 @@ class TestEvalAndRoots:
     def test_sign_cubic_has_one_as_root(self):
         p = poly(SIGN, [1, -1, -1, 1])
         s = eval_hyperset(p, SIGN.element(1))
-        assert s.contains(SIGN.zero())
+        assert s.contains_value(SIGN.zero_value())
 
     def test_tropical_triple_zero_coefficients(self):
         p = poly(TROPICAL, [0, 0, 0])
         s = eval_hyperset(p, TROPICAL.element(0))
         assert s == TropicalRay(TROPICAL, Fraction(0))
-        assert s.contains(TROPICAL.element(INF))
+        assert s.contains_value(INF)
 
     def test_zero_constant_term_makes_zero_a_root(self):
         for field in (SIGN, KRASNER, WEAK_SIGN, TROPICAL, PHASE):
@@ -155,7 +153,8 @@ class TestQuotients:
                 continue
             for a in field.elements():
                 for q in quotients(p, a):
-                    assert p in hyper_mul_poly(linear_poly(field, a), q)
+                    t_minus_a = poly(field, [field.neg_value(a.value), field.one_value()])
+                    assert p in hyper_mul_poly(t_minus_a, q)
                     assert divides_with_quotient(p, a, q)
 
 
@@ -264,12 +263,6 @@ class TestPolynomialHyperoperations:
     def test_field_linear_factors_multiply_classically(self):
         product = hyper_mul_poly(poly(RATIONALS, [-1, 1]), poly(RATIONALS, [1, 1]))
         assert product == frozenset({poly(RATIONALS, [-1, 0, 1])})
-
-    def test_hyper_add_poly_can_drop_degree(self):
-        s = hyper_add_poly(poly(SIGN, [0, 1]), poly(SIGN, [0, -1]))
-        assert poly(SIGN, []) in s
-        assert s == frozenset({poly(SIGN, []), poly(SIGN, [0, 1]),
-                               poly(SIGN, [0, -1])})
 
     def test_liu_association_orders_differ(self):
         factors = [poly(SIGN, [-1, 1]), poly(SIGN, [-1, 1]), poly(SIGN, [1, 1])]

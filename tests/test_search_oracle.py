@@ -2,7 +2,7 @@
 
 The element-level reference is the quotient enumeration and recursion that
 the library used before its search moved to raw values: every step goes
-through ``hyperadd``, ``mul`` and ``neg`` on checked elements.  The raw
+through ``mul`` and ``neg`` on checked elements, and reads sums raw.  The raw
 reference builds every chain down from c_n, filters at c_0 and sorts, as the
 raw search did before it walked only the surviving chains; its recursion has
 no early exit.  The properties ask the search for the same quotients in the
@@ -14,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly import (
+    Element,
     KRASNER,
     SIGN,
     WEAK_SIGN,
     hyper_mul_poly,
-    linear_poly,
     multiplicity,
     parse_field,
     poly,
-    poly_from_elements,
     quotients,
     witness_chain_valid,
 )
@@ -39,22 +38,21 @@ def reference_quotients(p, a) -> tuple:
         return ()
     if a.value == F.zero_value():
         if p.coeffs[0].value == F.zero_value():
-            return (poly_from_elements(F, p.coeffs[1:]),)
+            return (poly(F, [c.value for c in p.coeffs[1:]]),)
         return ()
     chains = [(p.coeffs[n],)]  # chains grow as (d_{n-1}, ..., d_i)
     for i in range(n - 1, 0, -1):
         ci = p.coeffs[i]
         nxt = []
         for chain in chains:
-            options = F.hyperadd(ci, F.mul(a, chain[-1]))
-            for d in options.enumerate():
-                nxt.append(chain + (d,))
+            for d in F.hyperadd_raw(ci.value, F.mul(a, chain[-1]).value):
+                nxt.append(chain + (Element(F, d),))
         chains = nxt
     c0 = p.coeffs[0]
     found = set()
     for chain in chains:
         if F.neg(F.mul(a, chain[-1])) == c0:
-            found.add(poly_from_elements(F, tuple(reversed(chain))))
+            found.add(poly(F, [d.value for d in reversed(chain)]))
     return tuple(sorted(found, key=poly_sort_key))
 
 
@@ -210,7 +208,8 @@ def full_multiplicity_polys(draw, field, max_steps=5):
     """c T^j times up to ``max_steps`` factors T - a, each product drawn from
     the hyperproduct: deg - ord_0 = mult_a at the drawn unit a, with ord_0 = j."""
     units = [v for v in field.carrier_values() if v != field.zero_value()]
-    t_minus_a = linear_poly(field, field.element(draw(st.sampled_from(units))))
+    t_minus_a = poly(field, [field.neg_value(draw(st.sampled_from(units))),
+                             field.one_value()])
     p = poly(field, [field.zero_value()] * draw(st.integers(0, 2))
              + [draw(st.sampled_from(units))])
     for _ in range(draw(st.integers(1, max_steps))):

@@ -1,6 +1,7 @@
-"""Start-up: ``import hyperpoly.cli`` loads no code generation and none of the
-modules that only ``descartes``, ``newton`` and ``verify`` call; those load
-on first use, and the package still exports every public name."""
+"""Start-up: ``import hyperpoly.cli`` loads no code generation, no ``json``
+(only ``--format json`` needs it) and none of the modules that only
+``descartes``, ``newton`` and ``verify`` call; those load on first use, and
+the package still exports every public name."""
 
 import json
 import pathlib
@@ -13,7 +14,7 @@ import hyperpoly
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-NOT_AT_START = ["dataclasses", "inspect", "typing", "hyperpoly.descartes",
+NOT_AT_START = ["dataclasses", "inspect", "json", "typing", "hyperpoly.descartes",
                 "hyperpoly.pushforward", "hyperpoly.ratpoly", "hyperpoly.tropical_newton"]
 
 PUBLIC = [
@@ -24,23 +25,24 @@ PUBLIC = [
     "QuotientHyperfield", "RATIONALS", "RationalField", "SIGN", "TROPICAL",
     "TropicalHyperfield", "TropicalRay", "WEAK_SIGN", "build_quotient", "check_axioms",
     "check_homomorphism", "core", "count_roots_by_sign", "descartes",
-    "divides_with_quotient", "eval_function", "eval_hyperset", "expand_roots",
-    "format_poly", "functional_equiv", "hyper_add_poly", "hyper_mul_poly",
-    "hyper_product", "in_product", "instances", "is_root", "iso_to_named",
-    "krasner_hyperfield", "linear_poly", "multiplicity", "newton_polygon", "padic_hom",
-    "padic_valuation", "parse_field", "parse_homomorphism", "parse_poly", "poly",
-    "poly_from_elements", "polynomial", "pushforward", "quotient_projection",
+    "divides_with_quotient", "eval_hyperset", "expand_roots", "format_poly",
+    "functional_equiv", "hyper_mul_poly", "hyper_product", "in_product", "instances",
+    "is_root", "krasner_hyperfield", "multiplicity", "newton_polygon", "padic_hom",
+    "parse_field", "parse_homomorphism", "parse_poly", "poly", "polynomial",
+    "pushforward", "quotient_projection",
     "quotients", "ratpoly", "roots", "sign_changes", "sign_hom", "sign_hyperfield",
     "substitute_neg", "tropical_newton", "verify_pushforward", "weak_sign_hyperfield",
     "witness_chain_valid",
 ]
 
-# run under ``python -S``: on some hosts ``site`` itself imports typing
+# run under ``python -S``: on some hosts ``site`` itself imports typing; the
+# script loads its own modules only after it has read what the CLI loaded
 SCRIPT = """
-import contextlib, io, json, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 import hyperpoly.cli
 loaded = sorted(m for m in sys.argv[2:] if m in sys.modules)
+import contextlib, io, json
 codes = []
 for argv in (["descartes", "--poly", "6,-7,0,1"], ["newton", "--field", "T", "--poly", "2,0,1"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -59,7 +61,7 @@ def test_cli_starts_without_code_generation_or_unused_verbs():
     result = json.loads(out.splitlines()[-1])
     assert result["loaded"] == []
     assert result["codes"] == [0, 0]
-    assert len(PUBLIC) == 73 and result["all"] == PUBLIC
+    assert len(PUBLIC) == 67 and result["all"] == PUBLIC
     assert result["unbound"] == []
 
 

@@ -15,14 +15,12 @@ from hyperpoly import (
     DomainError,
     RATIONALS,
     TROPICAL,
-    eval_function,
     expand_roots,
     functional_equiv,
     in_product,
     multiplicity,
     newton_polygon,
     padic_hom,
-    padic_valuation,
     poly,
     roots,
     verify_pushforward,
@@ -148,24 +146,6 @@ class TestTropicalRoots:
     def test_roundtrip_through_expansion(self):
         for ms in random_root_multisets(150, seed=2):
             assert roots(expand_roots(ms)) == Counter(ms)
-
-
-class TestEvalFunction:
-    def test_worked_example(self):
-        p = poly(TROPICAL, EXAMPLE)
-        assert eval_function(p, 0) == -1
-
-    def test_linear_pair(self):
-        assert eval_function(poly(TROPICAL, [11, 4, 0]), 5) == 9
-
-    def test_constant(self):
-        p = poly(TROPICAL, [Fraction(7, 2)])
-        for b in (-3, 0, 10):
-            assert eval_function(p, b) == Fraction(7, 2)
-
-    def test_infinite_argument_rejected(self):
-        with pytest.raises(DomainError):
-            eval_function(poly(TROPICAL, [0, 0]), INF)
 
 
 class TestInProduct:
@@ -379,4 +359,4 @@ class TestNewtonRule:
         p = poly(RATIONALS, [-8, 14, -7, 1])
         report = newton_rule_verify(p, 2)
         assert report.image.values() == tuple(
-            padic_valuation(c, 2).value for c in (-8, 14, -7, 1))
+            padic_hom(2).fn(Fraction(c)) for c in (-8, 14, -7, 1))
