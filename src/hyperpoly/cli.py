@@ -11,6 +11,7 @@ JSON with ``--format json``.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -277,20 +278,38 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# the largest ``verify --cases``, 20 times the largest default: a batch this
+# size runs for 1 to 3 s
+VERIFY_CASES_LIMIT = 10_000
+
+
 def positive_int(text: str) -> int:
+    """A ``verify`` batch size, from 1 to ``VERIFY_CASES_LIMIT``."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > VERIFY_CASES_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be at most VERIFY_CASES_LIMIT ({VERIFY_CASES_LIMIT}), got {value}")
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import shutil
+
+    # argparse makes a formatter for every argument it adds, and a formatter
+    # without a width asks the terminal; ask once per build, for the same width
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="hyperpoly",
+        prog="hyperpoly", formatter_class=formatter,
         description="Root multiplicities of polynomials over hyperfields. "
                     "Polynomials are comma-separated coefficients, constant "
                     "term first; rationals print as a/b, never as floats.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    # a given prog spares argparse rendering a usage line to derive it
+    sub = parser.add_subparsers(
+        dest="verb", required=True, prog="hyperpoly",
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
 
     def common(sp, poly=True, field=True):
         if field:

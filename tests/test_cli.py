@@ -1,15 +1,17 @@
 """Command-line behavior: verbs, exit codes, formats, and golden JSON."""
 
+import argparse
 import json
 import pathlib
 import re
 import shlex
+import shutil
 import sys
 import time
 
 import pytest
 
-from hyperpoly import (core, parse_field, parse_poly, polynomial, pushforward,
+from hyperpoly import (cli, core, parse_field, parse_poly, polynomial, pushforward,
                        tropical_newton)
 from hyperpoly.cli import main
 from hyperpoly.instances import ENUMERATION_LIMIT, PRIMALITY_LIMIT
@@ -326,6 +328,18 @@ class TestExitCodes:
         assert err[-1] == ("hyperpoly verify: error: argument --cases: "
                            f"must be at least 1, got {cases}")
 
+    def test_verify_cases_above_the_limit_is_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_CASES_LIMIT", 3)
+        args = cli.build_parser().parse_args(["verify", "--what", "tropical",
+                                              "--cases", "3"])
+        assert args.cases == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--what", "tropical", "--cases", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "hyperpoly verify: error: argument --cases: "
+            "must be at most VERIFY_CASES_LIMIT (3), got 4")
+
     @pytest.mark.parametrize("argv,text", [
         (("mult", "--field", "S", "--poly", "1,,-1", "--at", "1"), "1,,-1"),
         (("mult", "--field", "S", "--poly", "1,-1,", "--at", "1"), "1,-1,"),
@@ -409,6 +423,70 @@ class TestExitCodes:
             f"error: axioms over Fp:1031: 1031 elements, 1062961 pairs, more "
             f"than the carrier limit {core.AXIOM_CARRIER_LIMIT}")
         assert core.AXIOM_CARRIER_LIMIT == 1024
+
+
+VERBS = ["axioms", "roots", "mult", "quotients", "descartes", "newton", "factor",
+         "hyperprod", "verify"]
+
+
+def stock_parser(monkeypatch):
+    """``build_parser()`` as argparse builds it by default: every formatter
+    asks the terminal for its width, and the verbs' prog is derived from a
+    rendered usage line."""
+    init = argparse.ArgumentParser.__init__
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def stock_init(self, *args, **kwargs):
+        init(self, *args, **{**kwargs, "formatter_class": argparse.HelpFormatter})
+
+    def stock_subparsers(self, **kwargs):
+        kwargs.pop("prog", None)
+        return add_subparsers(self, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", stock_init)
+        patch.setattr(argparse.ArgumentParser, "add_subparsers", stock_subparsers)
+        return cli.build_parser()
+
+
+def parser_texts(capsys, parser):
+    """The ``-h`` output, and the usage line and error of a call that misses
+    a required argument, of the top level and of each verb."""
+    texts = []
+    for argv in ([], *([verb] for verb in VERBS)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "-h"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage: hyperpoly ")
+        assert "error: the following arguments are required: " in error
+        texts.append((help_text, error))
+    return texts
+
+
+class TestParser:
+    def test_one_terminal_query_per_build(self, monkeypatch):
+        query, queries = shutil.get_terminal_size, []
+        monkeypatch.setattr(shutil, "get_terminal_size",
+                            lambda *args: queries.append(args) or query(*args))
+        cli.build_parser()
+        assert len(queries) == 1
+
+    def test_help_usage_and_errors_match_the_stock_formatter(self, capsys, monkeypatch):
+        by_width = []
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts = parser_texts(capsys, cli.build_parser())
+            assert texts == parser_texts(capsys, stock_parser(monkeypatch))
+            by_width.append(texts)
+        # each width wraps every text its own way, so a width kept from an
+        # earlier build would fail the comparison above
+        assert all(a != b for narrow, wide in zip(*by_width)
+                   for a, b in zip(narrow, wide))
 
 
 class TestOutputStability:
