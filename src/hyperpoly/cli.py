@@ -40,11 +40,25 @@ from .polynomial import (
 )
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, written without the
+    pure-Python encoder, whose closures leave reference cycles on every call."""
+    import json
+
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)) and value:
+        items = [inner + _json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        import json
-
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -294,7 +308,76 @@ def positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(sp, fn, poly=True, field=True):
+    sp.set_defaults(fn=fn)
+    if field:
+        sp.add_argument("--field", required=True,
+                        help="hyperfield spec: Q, Fp:<p>, S, K, W, P, T, "
+                             "quot:<p>:<g1,g2,...>")
+    if poly:
+        sp.add_argument("--poly", required=True,
+                        help="coefficients c0,c1,... (ascending)")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _mult_args(sp):
+    _common(sp, _cmd_mult)
+    sp.add_argument("--at", required=True, help="the candidate root")
+
+
+def _quotients_args(sp):
+    _common(sp, _cmd_quotients)
+    sp.add_argument("--at", required=True)
+
+
+def _descartes_args(sp):
+    _common(sp, _cmd_descartes, field=False)
+    sp.add_argument("--roots", help="optional full rational root list (hint)")
+
+
+def _newton_args(sp):
+    _common(sp, _cmd_newton)
+    sp.add_argument("--prime", type=int, help="prime for the valuation (Q only)")
+    sp.add_argument("--roots", help="optional full rational root list (hint)")
+    sp.add_argument("--plot-data", help="write segment plot data to a file")
+
+
+def _hyperprod_args(sp):
+    _common(sp, _cmd_hyperprod, poly=False)
+    sp.add_argument("--polys", required=True,
+                    help="semicolon-separated factor polynomials")
+    sp.add_argument("--assoc", help="association tree, e.g. '((1 2) 3)'")
+
+
+def _verify_args(sp):
+    sp.set_defaults(fn=_cmd_verify)
+    sp.add_argument("--what", choices=("descartes", "newton", "tropical"),
+                    required=True)
+    sp.add_argument("--cases", type=positive_int,
+                    help="batch size; defaults to 200, 100 or 500 by --what")
+    sp.add_argument("--seed", type=int,
+                    help="defaults to the HYPERPOLY_SEED environment variable")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+
+
+# each verb: its help line, and the function that adds its arguments and handler
+VERBS = {
+    "axioms": ("check the hyperfield axioms",
+               lambda sp: _common(sp, _cmd_axioms, poly=False)),
+    "roots": ("list roots with multiplicities", lambda sp: _common(sp, _cmd_roots)),
+    "mult": ("multiplicity of one element as a root", _mult_args),
+    "quotients": ("all q with p in (T-a)q", _quotients_args),
+    "descartes": ("sign-change bound vs exact positive-root count", _descartes_args),
+    "newton": ("Newton polygon over T, or polygon rule over Q", _newton_args),
+    "factor": ("tropical factorization into roots", lambda sp: _common(sp, _cmd_roots)),
+    "hyperprod": ("hyperproduct of polynomials under an association", _hyperprod_args),
+    "verify": ("run a seeded verification batch", _verify_args),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every verb is registered, so usage, help and errors
+    name them all; only ``verb`` gets its arguments, or every verb if None."""
     import shutil
 
     # argparse makes a formatter for every argument it adds, and a formatter
@@ -310,71 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="verb", required=True, prog="hyperpoly",
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
-
-    def common(sp, poly=True, field=True):
-        if field:
-            sp.add_argument("--field", required=True,
-                            help="hyperfield spec: Q, Fp:<p>, S, K, W, P, T, "
-                                 "quot:<p>:<g1,g2,...>")
-        if poly:
-            sp.add_argument("--poly", required=True,
-                            help="coefficients c0,c1,... (ascending)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    sp = sub.add_parser("axioms", help="check the hyperfield axioms")
-    common(sp, poly=False)
-    sp.set_defaults(fn=_cmd_axioms)
-
-    sp = sub.add_parser("roots", help="list roots with multiplicities")
-    common(sp)
-    sp.set_defaults(fn=_cmd_roots)
-
-    sp = sub.add_parser("mult", help="multiplicity of one element as a root")
-    common(sp)
-    sp.add_argument("--at", required=True, help="the candidate root")
-    sp.set_defaults(fn=_cmd_mult)
-
-    sp = sub.add_parser("quotients", help="all q with p in (T-a)q")
-    common(sp)
-    sp.add_argument("--at", required=True)
-    sp.set_defaults(fn=_cmd_quotients)
-
-    sp = sub.add_parser("descartes",
-                        help="sign-change bound vs exact positive-root count")
-    common(sp, field=False)
-    sp.add_argument("--roots", help="optional full rational root list (hint)")
-    sp.set_defaults(fn=_cmd_descartes)
-
-    sp = sub.add_parser("newton",
-                        help="Newton polygon over T, or polygon rule over Q")
-    common(sp)
-    sp.add_argument("--prime", type=int, help="prime for the valuation (Q only)")
-    sp.add_argument("--roots", help="optional full rational root list (hint)")
-    sp.add_argument("--plot-data", help="write segment plot data to a file")
-    sp.set_defaults(fn=_cmd_newton)
-
-    sp = sub.add_parser("factor", help="tropical factorization into roots")
-    common(sp)
-    sp.set_defaults(fn=_cmd_roots)
-
-    sp = sub.add_parser("hyperprod",
-                        help="hyperproduct of polynomials under an association")
-    common(sp, poly=False)
-    sp.add_argument("--polys", required=True,
-                    help="semicolon-separated factor polynomials")
-    sp.add_argument("--assoc", help="association tree, e.g. '((1 2) 3)'")
-    sp.set_defaults(fn=_cmd_hyperprod)
-
-    sp = sub.add_parser("verify", help="run a seeded verification batch")
-    sp.add_argument("--what", choices=("descartes", "newton", "tropical"),
-                    required=True)
-    sp.add_argument("--cases", type=positive_int,
-                    help="batch size; defaults to 200, 100 or 500 by --what")
-    sp.add_argument("--seed", type=int,
-                    help="defaults to the HYPERPOLY_SEED environment variable")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(fn=_cmd_verify)
-
+    for name, (help_text, add_arguments) in VERBS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if verb in (None, name):
+            add_arguments(sp)
     return parser
 
 
@@ -383,8 +405,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level has only -h and the verb, so argparse hands everything
+    # after a verb to that verb's parser alone: the others need no arguments
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

@@ -1,6 +1,7 @@
 """Command-line behavior: verbs, exit codes, formats, and golden JSON."""
 
 import argparse
+import gc
 import json
 import pathlib
 import re
@@ -10,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (cli, core, parse_field, parse_poly, polynomial, pushforward,
                        tropical_newton)
@@ -428,6 +431,22 @@ class TestExitCodes:
 VERBS = ["axioms", "roots", "mult", "quotients", "descartes", "newton", "factor",
          "hyperprod", "verify"]
 
+# one valid call of each verb, in VERBS order, as perfbench makes them: the
+# first required argument comes first, and --format json last
+VALID_CALLS = [
+    ["axioms", "--field", "S", "--format", "json"],
+    ["roots", "--field", "W", "--poly", "1,1,1", "--format", "json"],
+    ["mult", "--field", "S", "--poly", "1,-1,-1,1", "--at", "1", "--format", "json"],
+    ["quotients", "--field", "S", "--poly", "1,-1,-1,1", "--at", "1", "--format", "json"],
+    ["descartes", "--poly", "6,-7,0,1", "--roots", "1,2,-3", "--format", "json"],
+    ["newton", "--field", "Q", "--poly=-8,14,-7,1", "--prime", "2", "--roots", "1,2,4",
+     "--format", "json"],
+    ["factor", "--field", "T", "--poly", "11,4,0", "--format", "json"],
+    ["hyperprod", "--field", "S", "--polys", "(-1,1);(-1,1);(1,1)", "--assoc", "((1 2) 3)",
+     "--format", "json"],
+    ["verify", "--what", "tropical", "--cases", "5", "--seed", "3", "--format", "json"],
+]
+
 
 def stock_parser(monkeypatch):
     """``build_parser()`` as argparse builds it by default: every formatter
@@ -449,11 +468,14 @@ def stock_parser(monkeypatch):
         return cli.build_parser()
 
 
-def parser_texts(capsys, parser):
+def parser_texts(capsys, build):
     """The ``-h`` output, and the usage line and error of a call that misses
-    a required argument, of the top level and of each verb."""
+    a required argument, of the top level and of each verb, each parsed by
+    ``build(verb)`` (``verb`` None for the top level)."""
     texts = []
-    for argv in ([], *([verb] for verb in VERBS)):
+    for verb in (None, *VERBS):
+        parser = build(verb)
+        argv = [] if verb is None else [verb]
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([*argv, "-h"])
         assert exc.value.code == 0
@@ -480,13 +502,68 @@ class TestParser:
         by_width = []
         for columns in ("60", "120"):
             monkeypatch.setenv("COLUMNS", columns)
-            texts = parser_texts(capsys, cli.build_parser())
-            assert texts == parser_texts(capsys, stock_parser(monkeypatch))
+            texts = parser_texts(capsys, lambda verb: cli.build_parser())
+            assert texts == parser_texts(capsys, lambda verb: stock_parser(monkeypatch))
+            # a parser with only the verb's arguments says the same
+            assert texts == parser_texts(capsys, cli.build_parser)
             by_width.append(texts)
         # each width wraps every text its own way, so a width kept from an
         # earlier build would fail the comparison above
         assert all(a != b for narrow, wide in zip(*by_width)
                    for a, b in zip(narrow, wide))
+
+    @pytest.mark.parametrize("valid", VALID_CALLS, ids=VERBS)
+    def test_a_verb_scoped_parser_parses_like_the_full_one(self, capsys, valid):
+        verb = valid[0]
+        calls = [
+            valid,
+            [verb, *valid[3:]],  # its first required argument missing
+            [*valid[:-1], "xml"],  # a bad --format choice
+            [*valid, "--bogus"],
+            [verb, "-h"],
+        ]
+        results = []
+        for argv in calls:
+            outcomes = []
+            for parser in (cli.build_parser(verb), cli.build_parser()):
+                try:
+                    result = parser.parse_args(argv)
+                except SystemExit as exc:
+                    result = exc.code
+                outcomes.append((result, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+            results.append(outcomes[0][0])
+        assert isinstance(results[0], argparse.Namespace)
+        assert results[1:] == [2, 2, 2, 0]
+
+    def test_main_adds_only_the_invoked_verbs_arguments(self, capsys, monkeypatch):
+        add_argument, added = argparse.ArgumentParser.add_argument, []
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert main(VALID_CALLS[VERBS.index("mult")]) == 0
+        mult, added[:] = len(added), []
+        cli.build_parser()
+        # --field, --poly, --format and --at, and one -h per parser
+        assert (mult, len(added)) == (4 + 10, 43)
+
+    @pytest.mark.parametrize("argv,verb", [
+        (VALID_CALLS[VERBS.index("mult")], "mult"), (["-h"], None)])
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, argv, verb):
+        build_parser, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda verb=None: built.append(verb) or build_parser(verb))
+        monkeypatch.setattr(sys, "argv", ["hyperpoly", *argv])
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, built) == (0, [verb])
+        assert out.startswith("{" if verb else "usage: hyperpoly ")
 
 
 class TestOutputStability:
@@ -548,6 +625,28 @@ class TestOutputStability:
         for text in payload["quotients"]:
             q = parse_poly(F, text)
             assert [F.format_value(c.value) for c in q.coeffs] == text.split(",")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner),
+        max_leaves=30))
+    def test_json_writer_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_emit_leaves_no_reference_cycles(self, capsys):
+        args = argparse.Namespace(format="json")
+        payload = {"field": "S", "multiplicity": 2, "witness": ["-1,1", "1"],
+                   "checks": [{"axiom": "a", "passed": True, "witness": None}]}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._emit(args, payload, [])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_json_is_sorted_and_stable(self, capsys):
         _, out1, _ = run(capsys, "axioms", "--field", "S", "--format", "json")
