@@ -13,7 +13,6 @@ f = the p-adic valuation the Newton polygon rule.
 
 from .core import (
     INF,
-    AxiomReport,
     DomainError,
     Element,
     FiniteHyperfield,
@@ -33,20 +32,14 @@ from .instances import (
     SIGN,
     TROPICAL,
     WEAK_SIGN,
-    Homomorphism,
     PhaseHyperfield,
     PrimeField,
     QuotientHyperfield,
     RationalField,
     TropicalHyperfield,
     build_quotient,
-    check_homomorphism,
     krasner_hyperfield,
-    padic_hom,
     parse_field,
-    parse_homomorphism,
-    quotient_projection,
-    sign_hom,
     sign_hyperfield,
     weak_sign_hyperfield,
 )
@@ -70,8 +63,12 @@ from .polynomial import (
 # modules that ``import hyperpoly.cli`` does not load, with the names they
 # export; each loads on first access (PEP 562)
 _LAZY = {
+    "axioms": ("AxiomReport",),
     "descartes": ("count_roots_by_sign", "sign_changes", "substitute_neg"),
-    "pushforward": ("PushforwardReport", "verify_pushforward"),
+    "hyperproduct": (),
+    "pushforward": ("Homomorphism", "PushforwardReport", "check_homomorphism", "padic_hom",
+                    "parse_homomorphism", "quotient_projection", "sign_hom",
+                    "verify_pushforward"),
     "ratpoly": (),
     "tropical_newton": ("NewtonPolygon", "NewtonSegment", "expand_roots", "functional_equiv",
                         "in_product", "newton_polygon"),

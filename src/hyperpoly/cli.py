@@ -18,15 +18,7 @@ import warnings
 from collections import Counter
 
 from .core import INF, DomainError, ParseError, check_axioms
-from .instances import (
-    RATIONALS,
-    TROPICAL,
-    RationalField,
-    TropicalHyperfield,
-    padic_hom,
-    parse_field,
-    sign_hom,
-)
+from .instances import RATIONALS, TROPICAL, RationalField, TropicalHyperfield, parse_field
 from .polynomial import (
     MultReport,
     format_poly,
@@ -154,7 +146,7 @@ def _parse_hint(text):
 def _cmd_descartes(args) -> int:
     from . import pushforward as pf
     p = parse_poly(RATIONALS, args.poly)
-    report = pf.verify_pushforward(sign_hom(), p, _parse_hint(args.roots))
+    report = pf.verify_pushforward(pf.sign_hom(), p, _parse_hint(args.roots))
     payload = {
         "poly": format_poly(p),
         "bound_pos": report.bounds.get(1, 0),
@@ -207,7 +199,9 @@ def _cmd_newton(args) -> int:
             raise DomainError("newton over Q needs --prime")
         from . import pushforward as pf
         p = parse_poly(F, args.poly)
-        report = pf.verify_pushforward(padic_hom(args.prime), p, _parse_hint(args.roots))
+        # the spec's rule: a non-prime is a parse error, unless too large to decide
+        hom = pf.parse_homomorphism(f"padic:{args.prime}")
+        report = pf.verify_pushforward(hom, p, _parse_hint(args.roots))
         # one row per slope, steepest first, inf last
         slopes = sorted(set(report.bounds) | set(report.counts or ()),
                         key=lambda s: (s is INF, 0 if s is INF else -s))
@@ -277,8 +271,8 @@ def _cmd_verify(args) -> int:
     else:
         from . import pushforward as pf
         homs, pool = {
-            "descartes": ((sign_hom(),), pf.DEFAULT_SPLIT_ROOT_POOL),
-            "newton": ((padic_hom(2), padic_hom(3)), pf.DEFAULT_PADIC_ROOT_POOL),
+            "descartes": ((pf.sign_hom(),), pf.DEFAULT_SPLIT_ROOT_POOL),
+            "newton": ((pf.padic_hom(2), pf.padic_hom(3)), pf.DEFAULT_PADIC_ROOT_POOL),
         }[args.what]
         corpus = pf.split_poly_corpus(count, seed, root_pool=pool)
         for i, (p, hint) in enumerate(corpus):

@@ -1,11 +1,10 @@
 """Concrete hyperfields: rationals, prime fields, sign, Krasner, weak sign,
-phase, tropical, and quotients of prime fields by multiplicative subgroups;
-plus hyperfield homomorphisms (sign, p-adic valuation, quotient projection,
-value tables) and their checker.  A homomorphism maps raw values to raw
-values; calling it on an element checks membership once.  ``S`` and ``T``
-give their root multiplicities in closed form, by sign changes and by the
-Newton polygon, through the ``rule_roots`` and ``rule_multiplicity`` hooks
-that :func:`~hyperpoly.polynomial.roots` and
+phase, tropical, and quotients of prime fields by multiplicative subgroups,
+with the field spec parser.  The homomorphisms between them are in
+:mod:`hyperpoly.pushforward`.  ``S`` and ``T`` give their root
+multiplicities in closed form, by sign changes and by the Newton polygon,
+through the ``rule_roots`` and ``rule_multiplicity`` hooks that
+:func:`~hyperpoly.polynomial.roots` and
 :func:`~hyperpoly.polynomial.multiplicity` consult.
 """
 
@@ -13,22 +12,18 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections.abc import Callable
 from fractions import Fraction
 
 from .core import (
     INF,
     DomainError,
-    Element,
     FiniteHyperfield,
     FiniteSet,
-    FrozenRecord,
     Hyperfield,
     HyperSet,
     NonEnumerableError,
     ParseError,
     PhaseArc,
-    Record,
     TropicalRay,
 )
 from .polynomial import split_parts
@@ -524,112 +519,6 @@ def build_quotient(p: int, generators) -> QuotientHyperfield:
     return q
 
 
-# -- homomorphisms --------------------------------------------------------------
-
-
-def _valuation(x: Fraction, p: int):
-    """v_p(x) for a prime p: the exponent of p in x, or INF at 0."""
-    if x == 0:
-        return INF
-    num, den, k = x.numerator, x.denominator, 0
-    while num % p == 0:
-        num, k = num // p, k + 1
-    while den % p == 0:
-        den, k = den // p, k - 1
-    return Fraction(k)
-
-
-class Homomorphism(FrozenRecord):
-    """A map between hyperfields, with the rule it implements.
-
-    ``fn`` maps raw source values to raw target values.  Calling the
-    homomorphism on an element is the boundary: it checks that the element
-    belongs to ``source`` and wraps the image in ``target``; it is the only
-    check, so the kernels apply ``fn`` to raw values directly.
-
-    The optional ``count_roots(p)`` gives the classical roots of a source
-    polynomial grouped by image; :func:`hyperpoly.pushforward.verify_pushforward`
-    checks them against the target's :func:`~hyperpoly.polynomial.roots`.
-    """
-
-    __slots__ = ("source", "target", "fn", "rule", "count_roots")
-
-    def __init__(self, source: Hyperfield, target: Hyperfield, fn: Callable, rule: str,
-                 count_roots: Callable | None = None):
-        self._init(source, target, fn, rule, count_roots)
-
-    def __call__(self, x: Element) -> Element:
-        self.source.check_member(x)
-        return Element(self.target, self.fn(x.value))
-
-
-def sign_hom() -> Homomorphism:
-    from .descartes import count_roots_by_sign
-
-    return Homomorphism(RATIONALS, SIGN, lambda x: (x > 0) - (x < 0), "sign",
-                        count_roots=count_roots_by_sign)
-
-
-def padic_hom(p: int) -> Homomorphism:
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return Homomorphism(RATIONALS, TROPICAL, lambda x: _valuation(x, p), f"padic:{p}")
-
-
-def quotient_projection(q: QuotientHyperfield) -> Homomorphism:
-    return Homomorphism(_prime_field(q.p), q, q.coset_of.__getitem__,
-                        f"project:{q.name}")
-
-
-def table_hom(source: Hyperfield, target: Hyperfield, table: dict,
-              rule: str = "custom") -> Homomorphism:
-    """The map ``table``; a finite source's every value must map into ``target``."""
-    for x in source.carrier_values() if source.is_finite() else ():
-        if x not in table:
-            raise DomainError(f"{rule}: no entry for {source.format_value(x)}")
-        if target.validate_value(table[x]) != table[x]:
-            raise DomainError(f"{rule}: {table[x]!r} is not a value of {target.name}")
-    return Homomorphism(source, target, table.__getitem__, rule)
-
-
-class HomomorphismReport(Record):
-    __slots__ = ("rule", "violations")
-
-    def __init__(self, rule: str, violations: list):
-        self.rule, self.violations = rule, violations
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_homomorphism(hom: Homomorphism) -> HomomorphismReport:
-    """Verify f(0)=0, f(1)=1, f(ab)=f(a)f(b) and f(a+b) in f(a)+f(b).
-
-    Exhaustive when the source carrier is finite, otherwise over the source's
-    deterministic sample grid.  Runs on raw values through ``hom.fn``; each
-    violation names its arguments as source elements.
-    """
-    src, tgt, f = hom.source, hom.target, hom.fn
-    if not src.enumerable_sums:
-        raise NonEnumerableError(f"{src.name}: source hypersums are not enumerable")
-    violations = []
-    if f(src.zero_value()) != tgt.zero_value():
-        violations.append(("f(0)=0", src.zero(), None))
-    if f(src.one_value()) != tgt.one_value():
-        violations.append(("f(1)=1", src.one(), None))
-    for a, b in itertools.product(src.sample_values(), repeat=2):
-        fa, fb = f(a), f(b)
-        if f(src.mul_values(a, b)) != tgt.mul_values(fa, fb):
-            violations.append(("f(ab)=f(a)f(b)", Element(src, a), Element(src, b)))
-        # the image of the source hypersum must land inside the target's
-        image_sum = tgt.hyperadd_values(fa, fb)
-        if not all(image_sum.contains_value(f(s))
-                   for s in src.hyperadd_raw(a, b)):
-            violations.append(("f(a+b) in f(a)+f(b)", Element(src, a), Element(src, b)))
-    return HomomorphismReport(hom.rule, violations)
-
-
 # -- spec strings ----------------------------------------------------------------
 
 
@@ -674,22 +563,3 @@ def parse_field(spec: str) -> Hyperfield:
         except DomainError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown hyperfield spec {spec!r}")
-
-
-def parse_homomorphism(spec: str) -> Homomorphism:
-    """Parse a homomorphism spec: ``sign`` or ``padic:<p>``."""
-    spec = spec.strip()
-    if spec == "sign":
-        return sign_hom()
-    if spec.startswith("padic:"):
-        try:
-            p = int(spec[6:])
-        except ValueError:
-            raise ParseError(f"bad prime in {spec!r}") from None
-        try:
-            return padic_hom(p)
-        except DomainError as exc:
-            if p >= PRIMALITY_LIMIT:  # too large to decide: a domain error
-                raise
-            raise ParseError(str(exc)) from None
-    raise ParseError(f"unknown homomorphism spec {spec!r}")

@@ -34,14 +34,14 @@ from hyperpoly import (
     check_axioms,
     parse_field,
 )
-from hyperpoly.core import (
+from hyperpoly.axioms import (
     _AXIOMS,
     AxiomCheck,
     AxiomReport,
-    Hyperfield,
     _orbit_exponents,
     unit_powers,
 )
+from hyperpoly.core import Hyperfield
 
 
 def cubic_axioms(F) -> dict:

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import (cli, core, parse_field, parse_poly, polynomial, pushforward,
-                       tropical_newton)
+from hyperpoly import (axioms, cli, core, hyperproduct, parse_field, parse_poly, polynomial,
+                       pushforward, tropical_newton)
 from hyperpoly.cli import main
 from hyperpoly.instances import ENUMERATION_LIMIT, PRIMALITY_LIMIT
 
@@ -315,6 +315,16 @@ class TestExitCodes:
         assert err == "error: --plot-data applies only to newton over T\n"
         assert not (tmp_path / "segments.txt").exists()
 
+    @pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
+    def test_newton_prime_that_is_not_prime_is_two(self, capsys, prime):
+        # the rule of Fp:<p> and padic:<p>: a non-prime below the primality
+        # limit is a parse error
+        code, out, err = run(capsys, "newton", "--field", "Q", "--poly", "1,2",
+                             "--prime", prime)
+        assert (code, out, err) == (2, "", f"parse error: {prime} is not prime\n")
+        assert run(capsys, "roots", "--field", f"Fp:{prime}", "--poly", "1,1") == \
+            (code, out, err)
+
     def test_unknown_verb_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -396,7 +406,7 @@ class TestExitCodes:
     def test_hyperproduct_choice_limit_is_one(self, capsys, monkeypatch):
         # W at the default limit: 9 alternating factors need 432,576 choices,
         # 10 would need 2,357,339; a lowered limit keeps the test fast
-        monkeypatch.setattr(polynomial, "HYPERPRODUCT_CHOICE_LIMIT", 1000)
+        monkeypatch.setattr(hyperproduct, "HYPERPRODUCT_CHOICE_LIMIT", 1000)
         polys = ";".join(["(1,1);(-1,1)"] * 3)
         code, out, err = run(capsys, "hyperprod", "--field", "W", "--polys", polys)
         assert (code, out) == (1, "")
@@ -424,8 +434,8 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.splitlines()[0] == (
             f"error: axioms over Fp:1031: 1031 elements, 1062961 pairs, more "
-            f"than the carrier limit {core.AXIOM_CARRIER_LIMIT}")
-        assert core.AXIOM_CARRIER_LIMIT == 1024
+            f"than the carrier limit {axioms.AXIOM_CARRIER_LIMIT}")
+        assert axioms.AXIOM_CARRIER_LIMIT == 1024
 
 
 VERBS = ["axioms", "roots", "mult", "quotients", "descartes", "newton", "factor",
@@ -564,6 +574,32 @@ class TestParser:
         out = capsys.readouterr().out
         assert (code, built) == (0, [verb])
         assert out.startswith("{" if verb else "usage: hyperpoly ")
+
+
+# the top-level parser's texts, pinned apart from build_parser: help, a
+# missing verb, an unknown verb and an unknown option after a verb
+PARSER_COMMANDS = {
+    "help": ["-h"],
+    "no_arguments": [],
+    "bogus_verb": ["bogus"],
+    "bogus_option": ["mult", "--field", "S", "--poly", "1,-1,-1,1", "--at", "1", "--bogus"],
+}
+
+
+class TestParserGolden:
+    # the goldens are argparse's texts in Python 3.10 to 3.12; 3.13 puts the
+    # usage line's "..." on the verb line, and later releases unquote choices
+    @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 texts differ")
+    @pytest.mark.parametrize("name", list(PARSER_COMMANDS))
+    def test_top_level_texts(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(PARSER_COMMANDS[name])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        transcript = f"exit code: {code}\n--- stdout\n{out}--- stderr\n{err}"
+        assert transcript == (GOLDEN / f"parser_{name}.txt").read_text()
 
 
 class TestOutputStability:

@@ -23,7 +23,7 @@ from hyperpoly import (
     parse_field,
     sign_hom,
 )
-from hyperpoly.instances import Homomorphism, table_hom
+from hyperpoly.pushforward import Homomorphism, table_hom
 
 FINITE = [parse_field(spec) for spec in ("S", "K", "W", "quot:7:2", "quot:13:3")]
 SIGN_TARGETS = FINITE[:3]

@@ -29,7 +29,7 @@ from hyperpoly import (
     poly,
 )
 from hyperpoly.core import Hyperfield
-from hyperpoly.polynomial import _tree_leaves, left_nested_assoc, parse_assoc
+from hyperpoly.hyperproduct import _tree_leaves, left_nested_assoc, parse_assoc
 
 # module-level references keep the parsed instances alive for the whole run
 FIELDS = [SIGN, KRASNER, WEAK_SIGN, parse_field("Fp:5"), parse_field("quot:7:2"),

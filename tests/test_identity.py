@@ -35,7 +35,7 @@ from hyperpoly import (
     roots,
     sign_hyperfield,
 )
-from hyperpoly.polynomial import ASSOC_MAX_DEPTH, parse_assoc
+from hyperpoly.hyperproduct import ASSOC_MAX_DEPTH, parse_assoc
 
 
 def table_copy(name, source):

@@ -30,15 +30,14 @@ from hyperpoly import (
     quotient_projection,
     sign_hom,
 )
-from hyperpoly import instances
-from hyperpoly.core import unit_powers
+from hyperpoly import instances, pushforward
+from hyperpoly.axioms import unit_powers
 from hyperpoly.instances import (
     PRIMALITY_LIMIT,
     QUOTIENT_PRIME_BOUND,
-    Homomorphism,
     is_prime,
-    table_hom,
 )
+from hyperpoly.pushforward import Homomorphism, table_hom
 
 
 def ord_by_division(n: int, p: int) -> int:
@@ -318,7 +317,7 @@ class TestSpecStrings:
             calls.append(n)
             return is_prime(n)
 
-        monkeypatch.setattr(instances, "is_prime", counted)
+        monkeypatch.setattr(pushforward, "is_prime", counted)
         assert parse_homomorphism("padic:3").rule == "padic:3"
         assert calls == [3]
         with pytest.raises(ParseError, match="4 is not prime"):

@@ -31,8 +31,8 @@ from hyperpoly import (
     PushforwardReport,
     TropicalRay,
 )
-from hyperpoly.core import AxiomCheck
-from hyperpoly.instances import HomomorphismReport
+from hyperpoly.axioms import AxiomCheck
+from hyperpoly.pushforward import HomomorphismReport
 
 _HOM = "Homomorphism(source=<hyperfield Q>, target=<hyperfield S>, " \
        "fn=<built-in function abs>, rule='abs', count_roots=<built-in function len>)"
