@@ -97,7 +97,7 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     Infinite instances are checked on their fixed deterministic sample grid,
     which hits every rule branch of the instances shipped here, over every
-    pair and triple.  Each check reports a counterexample on failure.
+    pair and triple or multiset (below); a failed check names a counterexample.
 
     Finite carriers are checked up to symmetry.  A check runs on its reduced
     domain below once the checks its proof rests on have passed, and on
@@ -182,6 +182,15 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
       one ``y`` with ``0`` in ``x+y``, so ``-(-x) = x`` by commutativity,
       and ``a*0`` is no unit: else ``1+v = {v}`` for every unit ``v``, as
       above, and ``1+0 = {1}``, so ``1`` has no inverse.
+    - On a grid whose sums pass ``commutativity``, associativity first
+      tests each multiset of grid values once, and so does reversibility
+      where ``x -> -x`` maps the grid onto itself with ``-(-x) = x`` (``T``,
+      not ``Q`` or ``P``).  Their scans compare ``S(b, c, a)`` with
+      ``S(a, b, c)``, and ``R(-a, b, c) = [a in b+c]`` with ``R(b, -a, c)``,
+      over every ordered triple; as above, each passes iff its function
+      takes one value on all orders of each multiset: 3·C(n+2, 3) values,
+      not 2·n^3.  Distributivity keeps its full scan: halving it would
+      assume that sums off the grid, such as ``ab + ac``, commute.
     """
     exhaustive = F.is_finite()
     vals = F.carrier_values() if exhaustive else F.sample_values()
@@ -219,8 +228,21 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
         def row(a):  # a + x for every x, read once
             return {x: add(a, x) for x in vals}
     else:  # rays and arcs need the HyperSet methods; each sum is kept
-        add = functools.cache(F.hyperadd_values)
+        # a grid pair's sum by position, found by identity: no Fraction hashed
+        position = {id(v): i for i, v in enumerate(vals)}
+        grid = [[F.hyperadd_values(x, y) for y in vals] for x in vals]
+        own = {v: v for v in vals}
+        negs = {x: own.get(y, y) for x, y in negs.items()}  # the grid's objects
         add_right = F.add_set_value
+
+        def add(x, y):
+            i, j = position.get(id(x)), position.get(id(y))
+            return off_grid(x, y) if i is None or j is None else grid[i][j]
+
+        @functools.cache
+        def off_grid(x, y):  # read on the grid where x and y lie on it
+            x, y = own.get(x, x), own.get(y, y)
+            return add(x, y) if x in own and y in own else F.hyperadd_values(x, y)
 
         def add_left(a, s):  # the grid instances' sums commute by definition
             return F.add_set_value(s, a)
@@ -349,6 +371,12 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
         return all((one in add(negs[b], negs[c])) == (b in r[negs[c]]) == (c in r[negs[b]])
                    for b, c in orbits())
 
+    # the proofs of the grid checks over triples: f, symmetric in y and z,
+    # has one value on the orders of each multiset {x, y, z} of grid values
+    def on_multisets(f):
+        return lambda: all(f(x, y, z) == f(y, x, z) == f(z, x, y) for x, y, z
+                           in itertools.combinations_with_replacement(vals, 3))
+
     # premises first, each domain reduced only once they pass; the report
     # lists the checks in _AXIOMS order
     run("multiplicative group", gen_group())
@@ -364,12 +392,19 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     run("commutativity", gen_commutative(rows))
     run("unique inverse", gen_inverse(rows))
     associative = premises + ("commutativity",)
+    commuting_grid = not exhaustive and results["commutativity"].passed
     run("associativity", gen_associative([one] if proved(*associative) else vals),
-        associative_on_orbits if cyclic and proved(*associative) else None)
+        associative_on_orbits if cyclic and proved(*associative)
+        else on_multisets(lambda x, y, z: add_right(add(y, z), x))
+        if commuting_grid else None)
     reversible = ("multiplicative group", "distributivity", "neutral element")
+    self_inverse = commuting_grid and all(  # -x on the grid, -(-x) = x
+        x in negs and negs.get(negs[x], vals) == x for x in vals)
     run("reversibility", gen_reversible([one] if proved(*reversible) else vals),
         reversible_on_orbits if cyclic and len(negs) == len(vals)
-        and proved(*reversible, "commutativity") else None)
+        and proved(*reversible, "commutativity")
+        else on_multisets(lambda x, y, z: has(add(y, z), negs[x]))
+        if self_inverse else None)
 
     notes += getattr(F, "axiom_notes", ())
     return AxiomReport(F.name, exhaustive, [results[a] for a in _AXIOMS], notes)

@@ -11,6 +11,8 @@ through the ``rule_roots`` and ``rule_multiplicity`` hooks that
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -49,11 +51,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """A rational in ``Fraction``'s syntax, refused when its numerator or
+    denominator has more digits than ``str`` prints (the int-to-str limit).
+    Neither has more digits than the text's ``D`` plus its exponent ``e``.
+    ``Fraction`` builds ``10^|e|``, which takes seconds at ``e = 10^7``; past
+    ``|e| > limit + D`` the value is zero or too long, as the text shows."""
+    text, limit = text.strip(), sys.get_int_max_str_digits()
+    exp = _EXPONENT.search(text) if limit else None
     try:
-        return Fraction(text.strip())
+        shift = abs(int(exp[1])) if exp else 0
+        if shift > limit + len(text):
+            head = text[:exp.start()]
+            value = (None if any(c in "123456789" for c in head)
+                     else Fraction(head + "e0"))  # zero, without 10^|e|
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse rational {text!r}") from None
+    # 2^(3 limit) < 10^limit, so only longer parts need the exact test
+    if value is None or len(text) + shift > limit > 0 and any(
+            n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+            for n in value.as_integer_ratio()):
+        raise ParseError(f"rational {text!r} has more than {limit} digits")
+    return value
 
 
 # -- the rational field, seen as a hyperfield ---------------------------------

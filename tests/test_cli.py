@@ -9,13 +9,14 @@ import shlex
 import shutil
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import (axioms, cli, core, hyperproduct, parse_field, parse_poly, polynomial,
-                       pushforward, tropical_newton)
+from hyperpoly import (axioms, cli, core, hyperproduct, instances, parse_field, parse_poly,
+                       polynomial, pushforward, tropical_newton)
 from hyperpoly.cli import main
 from hyperpoly.instances import ENUMERATION_LIMIT, PRIMALITY_LIMIT
 
@@ -324,6 +325,36 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", f"parse error: {prime} is not prime\n")
         assert run(capsys, "roots", "--field", f"Fp:{prime}", "--poly", "1,1") == \
             (code, out, err)
+
+    @pytest.mark.parametrize("argv", [
+        "descartes --poly 1e5000,1,1", "descartes --poly 1e-5000,1,1",
+        "roots --field T --poly 1e5000,0,1", "mult --field Q --poly=-1e5000,1 --at 1e5000"])
+    def test_coefficient_past_the_digit_limit_is_two(self, capsys, argv):
+        # str() would refuse its numerator or denominator
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0].startswith("parse error:")
+
+    def test_coefficient_within_the_digit_limit_prints_back(self, capsys):
+        code, out, err = run(capsys, "roots", "--field", "T", "--poly", "1e4000,0,1",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["poly"] == f"{10 ** 4000},0,1"
+
+    def test_huge_exponent_is_refused_from_the_text(self, capsys, monkeypatch):
+        # Fraction("1e10000000") builds 10^10000000, which takes seconds
+        calls = []
+
+        class Counted(instances.Fraction):
+            def __new__(cls, *args):
+                calls.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(instances, "Fraction", Counted)
+        code, _, err = run(capsys, "descartes", "--poly", "1e10000000,1")
+        assert code == 2 and err.startswith("parse error:")
+        assert calls == []
+        assert instances._parse_fraction("1e3") == 1000 and calls == [("1e3",)]
 
     def test_unknown_verb_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -645,9 +676,9 @@ class TestOutputStability:
 
     @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("spec", ["quot:31:1", "quot:37:1", "quot:41:1", "quot:43:1",
-                                      "Fp:31", "S", "K", "W"])
+                                      "Fp:31", "S", "K", "W", "Q", "P", "T"])
     def test_axioms_snapshot(self, capsys, monkeypatch, tmp_path, spec, fmt, ext):
-        # the finite axiom reports, pinned byte for byte
+        # the finite and the sample-grid axiom reports, pinned byte for byte
         out = self.snapshot(capsys, monkeypatch, tmp_path, f"axioms --field {spec}", fmt)
         assert out == (GOLDEN / f"axioms_{spec.replace(':', '_')}.{ext}").read_text()
 
