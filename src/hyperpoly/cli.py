@@ -371,7 +371,8 @@ VERBS = {
 
 def build_parser(verb=None) -> argparse.ArgumentParser:
     """The CLI's parser. Every verb is registered, so usage, help and errors
-    name them all; only ``verb`` gets its arguments, or every verb if None."""
+    name them all; only ``verb`` gets its ``-h`` and arguments, or every verb
+    if None."""
     import shutil
 
     # argparse makes a formatter for every argument it adds, and a formatter
@@ -388,8 +389,10 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
         dest="verb", required=True, prog="hyperpoly",
         parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
     for name, (help_text, add_arguments) in VERBS.items():
-        sp = sub.add_parser(name, help=help_text)
-        if verb in (None, name):
+        # a verb the call does not run never parses, so it needs no -h either
+        runs = verb in (None, name)
+        sp = sub.add_parser(name, help=help_text, add_help=runs)
+        if runs:
             add_arguments(sp)
     return parser
 

@@ -318,7 +318,9 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
 def roots(p: Poly) -> dict:
     """The nonzero root multiplicities of ``p`` by raw value: the instance's
     ``rule_roots`` (sign changes over ``S``, the Newton polygon over ``T``),
-    else :func:`multiplicity` at each value of a finite carrier."""
+    else :func:`multiplicity` at each value of a finite carrier. A monomial
+    ``u T^k`` has only the root zero, of multiplicity ``k``, so it is
+    answered without the sweep, once the carrier is known to be enumerable."""
     F = p.field
     if p.is_zero():
         raise DomainError("the zero polynomial has no well-defined roots")
@@ -327,7 +329,11 @@ def roots(p: Poly) -> dict:
         return found
     if not F.is_finite():
         raise NonEnumerableError(f"roots cannot be enumerated over {F.name}")
-    mults = {a.value: multiplicity(p, a).multiplicity for a in F.elements()}
+    carrier, zero, c = F.carrier_values(), F.zero_value(), p.values()
+    if all(v == zero for v in c[:-1]):
+        # u T^k: multiplicity strips T^k, and a constant has no quotient
+        return {zero: len(c) - 1} if len(c) > 1 else {}
+    mults = {v: multiplicity(p, Element(F, v)).multiplicity for v in carrier}
     return {v: m for v, m in mults.items() if m}
 
 

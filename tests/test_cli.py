@@ -1,8 +1,11 @@
 """Command-line behavior: verbs, exit codes, formats, and golden JSON."""
 
 import argparse
+import contextlib
 import gc
+import io
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -10,6 +13,7 @@ import shutil
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +124,16 @@ class TestVerbs:
         code, out, _ = run(capsys, "roots", "--field", "W", "--poly", "1,1,1")
         assert code == 0
         assert "root=1 mult=2" in out and "root=-1 mult=2" in out
+
+    @pytest.mark.parametrize("coeffs,text", [("1", "no roots"), ("0,1", "root=0 mult=1")])
+    def test_roots_of_a_monomial_skip_the_sweep(self, capsys, monkeypatch, coeffs, text):
+        # the largest prime under the enumeration limit, where a sweep of
+        # every value took 7 to 10 s
+        search, calls = polynomial.multiplicity, []
+        monkeypatch.setattr(polynomial, "multiplicity",
+                            lambda *args: calls.append(args) or search(*args))
+        code, out, err = run(capsys, "roots", "--field", "Fp:1048573", "--poly", coeffs)
+        assert (code, out, err, calls) == (0, text + "\n", "", [])
 
     def test_roots_tropical(self, capsys):
         code, out, _ = run(capsys, "factor", "--field", "T", "--poly", "11,4,0")
@@ -531,6 +545,49 @@ def parser_texts(capsys, build):
     return texts
 
 
+def subparsers(parser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def has_help(parser) -> bool:
+    return any(isinstance(a, argparse._HelpAction) for a in parser._actions)
+
+
+# each verb's options in the full parser, with their choices, if any
+GRAMMAR = {verb: [(a.option_strings[-1], a.choices) for a in sp._actions
+                  if a.option_strings and not isinstance(a, argparse._HelpAction)]
+           for verb, sp in subparsers(cli.build_parser()).choices.items()}
+VALUES = ("1", "0", "-1", "1,-1,-1,1", "S", "Q", "x")
+
+
+@st.composite
+def verb_argvs(draw) -> list:
+    """A verb and a random subset of its options in random order, as
+    ``--opt value`` or ``--opt=value``, with a bad choice, a stray token, an
+    unknown option or ``-h`` in between."""
+    verb = draw(st.sampled_from(VERBS))
+    options = draw(st.permutations(GRAMMAR[verb]))
+    argv = [verb]
+    for option, choices in options[:draw(st.integers(0, len(options)))]:
+        value = draw(st.sampled_from([*choices, "xml"] if choices else VALUES))
+        argv += draw(st.sampled_from(([option, value], [f"{option}={value}"])))
+    for token in draw(st.lists(st.sampled_from(("stray", "--bogus", "-h")), max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+def parse_outcome(parser, argv) -> tuple:
+    """The Namespace of parsing ``argv``, or its exit code, with the stdout
+    and stderr of the parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestParser:
     def test_one_terminal_query_per_build(self, monkeypatch):
         query, queries = shutil.get_terminal_size, []
@@ -588,8 +645,21 @@ class TestParser:
         assert main(VALID_CALLS[VERBS.index("mult")]) == 0
         mult, added[:] = len(added), []
         cli.build_parser()
-        # --field, --poly, --format and --at, and one -h per parser
-        assert (mult, len(added)) == (4 + 10, 43)
+        # --field, --poly, --format and --at, and -h on the top level and on
+        # mult; with no verb, every verb's arguments and one -h per parser
+        assert (mult, len(added)) == (4 + 2, 43)
+        # every verb is still a choice, but only mult can print its help
+        verbs = subparsers(cli.build_parser("mult")).choices
+        assert list(verbs) == VERBS
+        assert [name for name, sp in verbs.items() if has_help(sp)] == ["mult"]
+        assert all(map(has_help, subparsers(cli.build_parser()).choices.values()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(verb_argvs())
+    def test_a_verb_scoped_parser_parses_generated_argvs_like_the_full_one(self, argv):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            assert (parse_outcome(cli.build_parser(argv[0]), argv)
+                    == parse_outcome(cli.build_parser(), argv))
 
     @pytest.mark.parametrize("argv,verb", [
         (VALID_CALLS[VERBS.index("mult")], "mult"), (["-h"], None)])

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import (
     INF,
@@ -26,9 +28,11 @@ from hyperpoly import (
     hyper_product,
     is_root,
     multiplicity,
+    parse_field,
     parse_poly,
     poly,
     quotients,
+    roots,
     witness_chain_valid,
 )
 from hyperpoly import ratpoly
@@ -108,6 +112,18 @@ class TestEvalAndRoots:
         p = poly(SIGN, [1, 1])
         with pytest.raises(DomainError):
             eval_hyperset(p, WEAK_SIGN.element(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(("K", "W", "Fp:2", "Fp:5", "Fp:13", "quot:13:3", "quot:7:2",
+                            "quot:11:10", "quot:13:12", "quot:31:5")),
+           st.integers(0, 7), st.data())
+    def test_monomial_roots_match_the_sweep(self, spec, degree, data):
+        F = parse_field(spec)
+        zero = F.zero_value()
+        unit = data.draw(st.sampled_from([v for v in F.carrier_values() if v != zero]))
+        p = poly(F, [zero] * degree + [unit])
+        sweep = {a.value: multiplicity(p, a).multiplicity for a in F.elements()}
+        assert roots(p) == {v: m for v, m in sweep.items() if m}
 
 
 class TestQuotients:
