@@ -37,6 +37,8 @@ def _json(value, indent: str = "") -> str:
     pure-Python encoder, whose closures leave reference cycles on every call."""
     import json
 
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)  # as json.dumps does
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]

@@ -15,11 +15,13 @@ from .polynomial import Poly
 HYPERPRODUCT_CHOICE_LIMIT = 10**6
 
 
-def _choices(sums: list, spent: list) -> set:
-    """Every raw coefficient tuple whose i-th value is chosen from ``sums[i]``.
+def _choices(sums: list, spent: list) -> list:
+    """The box of one product: the i-th coefficient is chosen from the i-th
+    entry, the values of ``sums[i]``.
 
-    ``spent[0]`` counts one hyperoperation's choices so far; a step that would
-    take it past ``HYPERPRODUCT_CHOICE_LIMIT`` is refused before it runs.
+    ``spent[0]`` counts one hyperoperation's choices so far, every box's
+    counted whether or not it is enumerated later; a box that would take it
+    past ``HYPERPRODUCT_CHOICE_LIMIT`` is refused before any is enumerated.
     """
     if not all(isinstance(s, FiniteSet) for s in sums):
         raise NonEnumerableError(
@@ -29,23 +31,49 @@ def _choices(sums: list, spent: list) -> set:
     if spent[0] > HYPERPRODUCT_CHOICE_LIMIT:
         raise DomainError(f"enumeration would reach {spent[0]} coefficient choices, "
                           f"more than the limit {HYPERPRODUCT_CHOICE_LIMIT}")
-    return set(itertools.product(*options))
+    return options
 
 
-def _mul_raw(F: Hyperfield, c: tuple, d: tuple, sums: dict, spent: list) -> set:
-    """Raw tuples of the Cauchy-product hypersum of nonzero ``c`` and ``d``;
+def _mul_box(F: Hyperfield, c: tuple, d: tuple, sums: dict, spent: list) -> list:
+    """The box of the Cauchy-product hypersum of nonzero ``c`` and ``d``;
     ``sums`` caches each tuple of terms' hypersum.  The top option is the
     unit ``c[n] d[m]`` alone, so no tuple has a trailing zero."""
-    n, m = len(c) - 1, len(d) - 1
+    m, mul, r = len(d) - 1, F.mul_values, d[::-1]
     options = []
-    for i in range(n + m + 1):
-        terms = tuple(F.mul_values(c[k], d[i - k])
-                      for k in range(max(0, i - m), min(n, i) + 1))
+    for i in range(len(c) + m):
+        # c[k] d[i - k] for k = max(0, i - m) .. min(n, i): map stops at the shorter slice
+        terms = tuple(map(mul, c[max(0, i - m):], r[max(0, m - i):]))
         s = sums.get(terms)
         if s is None:
             s = sums[terms] = F.hypersum_values(terms)
         options.append(s)
     return _choices(options, spent)
+
+
+def _mul_sets(F: Hyperfield, left: set, right: set, sums: dict, spent: list) -> set:
+    """The union of the products of every ``c`` in ``left`` and ``d`` in
+    ``right``, as raw tuples, which all have one length.
+
+    Every box is built and budgeted first; the boxes are then enumerated in
+    the same order until the union fills their bounding box, the product of
+    the per-position unions, which holds every later box.
+    """
+    boxes = [_mul_box(F, c, d, sums, spent) for c, d in itertools.product(left, right)]
+    bound = math.prod(len(frozenset().union(*column)) for column in zip(*boxes))
+    out = set()
+    for j, box in enumerate(boxes):
+        out |= set(itertools.product(*box))
+        if len(out) == bound:
+            break
+    # a union sizes the table for its operand first, and the table sets the order the
+    # node above reads ``out`` in: each later box is unioned as a subset of its size
+    subsets = {}
+    for box in boxes[j + 1:]:
+        size = math.prod(map(len, box))
+        if size not in subsets:
+            subsets[size] = set(itertools.islice(out, size))
+        out |= subsets[size]
+    return out
 
 
 ASSOC_MAX_DEPTH = 256
@@ -92,11 +120,11 @@ def _tree_leaves(tree) -> list:
     return _tree_leaves(tree[0]) + _tree_leaves(tree[1])
 
 
-def left_nested_assoc(n: int):
-    tree = 1
-    for i in range(2, n + 1):
-        tree = (tree, i)
-    return tree
+def _evaluate(F: Hyperfield, node, factors: list, sums: dict, spent: list) -> set:
+    if isinstance(node, int):
+        return {factors[node - 1].values()}
+    return _mul_sets(F, _evaluate(F, node[0], factors, sums, spent),
+                     _evaluate(F, node[1], factors, sums, spent), sums, spent)
 
 
 def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
@@ -105,9 +133,10 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
     Hypermultiplication is not associative in general, so different trees can
     give genuinely different sets.  ``association`` is a nested-pair tree of
     1-based factor indices, as text for :func:`parse_assoc`; the default is
-    the left-nested order.  Products are enumerated as raw coefficient
-    tuples, within ``HYPERPRODUCT_CHOICE_LIMIT`` choices in all; a zero factor
-    makes the product ``{0}``.
+    the left-nested order, folded, so it has no depth limit.  Products are
+    enumerated as raw coefficient tuples (see :func:`_mul_sets`), within
+    ``HYPERPRODUCT_CHOICE_LIMIT`` choices counted over every box; a zero
+    factor makes the product ``{0}``.
     """
     factors = list(factors)
     if not factors:
@@ -116,23 +145,16 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
     for f in factors:
         if f.field is not F:
             raise DomainError("factors over different instances")
-    tree = (left_nested_assoc(len(factors)) if association is None
-            else parse_assoc(association))
-    if sorted(_tree_leaves(tree)) != list(range(1, len(factors) + 1)):
+    tree = None if association is None else parse_assoc(association)
+    if tree is not None and sorted(_tree_leaves(tree)) != list(range(1, len(factors) + 1)):
         raise DomainError("association tree must use each factor index once")
     if any(f.is_zero() for f in factors):
         return frozenset({Poly(F, ())})
     sums, spent = {}, [0]
-
-    def ev(node) -> set:
-        if isinstance(node, int):
-            return {factors[node - 1].values()}
-        out = set()
-        for c, d in itertools.product(ev(node[0]), ev(node[1])):
-            out |= _mul_raw(F, c, d, sums, spent)
-        return out
-
-    try:
-        return frozenset(Poly(F, t) for t in ev(tree))
-    finally:
-        del ev  # ev refers to itself; the cycle would keep the factors alive
+    if tree is not None:
+        out = _evaluate(F, tree, factors, sums, spent)
+    else:  # the left-nested default, whose leaves are 1..n, as a fold
+        out = {factors[0].values()}
+        for f in factors[1:]:
+            out = _mul_sets(F, out, {f.values()}, sums, spent)
+    return frozenset(Poly(F, t) for t in out)

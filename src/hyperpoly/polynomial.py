@@ -81,7 +81,7 @@ def poly(field: Hyperfield, values: Iterable) -> Poly:
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    return ",".join(p.field.format_value(v) for v in p.values())
+    return ",".join(map(p.field.format_value, p.values()))
 
 
 def split_parts(text: str, sep: str = ",") -> list[str]:
@@ -110,7 +110,7 @@ def parse_poly(field: Hyperfield, text: str) -> Poly:
 
 
 def poly_sort_key(p: Poly):
-    return (len(p.values()), tuple(p.field.sort_key(v) for v in p.values()))
+    return (len(p.values()), tuple(map(p.field.sort_key, p.values())))
 
 
 # -- evaluation and roots --------------------------------------------------

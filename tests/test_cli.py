@@ -58,6 +58,17 @@ HARNESS_COMMANDS = {
     "verify_newton": "verify --what newton",
 }
 
+# the two 7-factor hyperproducts of 729 products each, shaped like the
+# benchmark's heaviest hyperprod cases: one over W, one over S
+HYPERPROD_W7 = ('hyperprod --field W'
+                ' --polys "(1,1);(-1,-1);(-1,-1);(1,-1);(-1,1);(1,1);(-1,-1)"'
+                ' --assoc "((((1 (2 3)) 4) (5 6)) 7)"')
+HYPERPROD_COMMANDS = {
+    "W7": HYPERPROD_W7,
+    "S7": ('hyperprod --field S --polys "(1,-1);(-1,1);(-1,1);(1,1);(1,-1);(1,1);(-1,-1)"'
+           ' --assoc "((1 (2 3)) ((4 (5 6)) 7))"'),
+}
+
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
@@ -448,6 +459,32 @@ class TestExitCodes:
         assert err.splitlines()[0] == \
             "parse error: association tree nested more than 256 levels deep"
 
+    def test_many_factors_without_association_is_zero(self, capsys):
+        # the default association of 1,200 factors is folded, not recursed
+        polys = ";".join(["(1)"] * 1200)
+        code, out, err = run(capsys, "hyperprod", "--field", "S", "--polys", polys)
+        assert (code, out, err) == (0, "count=1\n1\n", "")
+
+    def test_hyperproduct_limit_counts_boxes_not_enumerated(self, capsys, monkeypatch):
+        # the W case's 337 boxes hold 16,431 choices, of which a node that
+        # fills its bounding box early enumerates 9,300: the budget counts all
+        monkeypatch.setattr(hyperproduct, "HYPERPRODUCT_CHOICE_LIMIT", 12000)
+        code, out, err = run(capsys, *shlex.split(HYPERPROD_W7))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == ("error: enumeration would reach 12267 "
+                                       "coefficient choices, more than the limit 12000")
+
+    def test_hyperproduct_limit_trips_in_the_full_union_order(self, capsys, monkeypatch):
+        # the order a node reads its child's set in sets the box the budget
+        # trips at; a union a node skips would still have grown that set's
+        # table, and read without it the same call reaches 1929
+        monkeypatch.setattr(hyperproduct, "HYPERPRODUCT_CHOICE_LIMIT", 1801)
+        code, out, err = run(capsys, "hyperprod", "--field", "W",
+                             "--polys", "(1,0,1);(1,1,1);(-1,1,1);(0,1,1)")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == ("error: enumeration would reach 1862 "
+                                       "coefficient choices, more than the limit 1801")
+
     def test_hyperproduct_choice_limit_is_one(self, capsys, monkeypatch):
         # W at the default limit: 9 alternating factors need 432,576 choices,
         # 10 would need 2,357,339; a lowered limit keeps the test fast
@@ -743,6 +780,12 @@ class TestOutputStability:
         if name == "newton_T":
             assert (tmp_path / "segments.txt").read_text() == \
                 (GOLDEN / "readme_newton_T.segments.txt").read_text()
+
+    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("name", list(HYPERPROD_COMMANDS))
+    def test_hyperprod_snapshot(self, capsys, monkeypatch, tmp_path, name, fmt, ext):
+        out = self.snapshot(capsys, monkeypatch, tmp_path, HYPERPROD_COMMANDS[name], fmt)
+        assert out == (GOLDEN / f"hyperprod_{name}.{ext}").read_text()
 
     @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("spec", ["quot:31:1", "quot:37:1", "quot:41:1", "quot:43:1",

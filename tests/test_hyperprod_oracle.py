@@ -29,7 +29,7 @@ from hyperpoly import (
     poly,
 )
 from hyperpoly.core import Hyperfield
-from hyperpoly.hyperproduct import _tree_leaves, left_nested_assoc, parse_assoc
+from hyperpoly.hyperproduct import _tree_leaves, parse_assoc
 
 # module-level references keep the parsed instances alive for the whole run
 FIELDS = [SIGN, KRASNER, WEAK_SIGN, parse_field("Fp:5"), parse_field("quot:7:2"),
@@ -67,6 +67,13 @@ def ref_hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
                            for i in range(n + m + 1)])
 
 
+def ref_left_nested_assoc(n: int):
+    tree = 1
+    for i in range(2, n + 1):
+        tree = (tree, i)
+    return tree
+
+
 def ref_hyper_product(factors, association=None) -> frozenset:
     """Evaluate a hyperproduct of polynomials under a given association tree."""
     factors = list(factors)
@@ -76,7 +83,7 @@ def ref_hyper_product(factors, association=None) -> frozenset:
     for f in factors:
         if f.field is not F:
             raise DomainError("factors over different instances")
-    tree = (left_nested_assoc(len(factors)) if association is None
+    tree = (ref_left_nested_assoc(len(factors)) if association is None
             else parse_assoc(association))
     if sorted(_tree_leaves(tree)) != list(range(1, len(factors) + 1)):
         raise DomainError("association tree must use each factor index once")
@@ -133,3 +140,20 @@ def test_hyper_mul_poly_matches_the_poly_reference(data):
     F = data.draw(st.sampled_from(FIELDS))
     p, q = data.draw(_polys(F, max_degree=3)), data.draw(_polys(F, max_degree=3))
     assert hyper_mul_poly(p, q) == ref_hyper_mul_poly(p, q)
+
+
+# linear factors, up to as many as the reference multiplies in well under a
+# second: the nodes of a random tree over them both fill their bounding box
+# and fall short of it
+LINEAR_FACTORS = [(SIGN, 8), (WEAK_SIGN, 7), (parse_field("quot:13:3"), 6)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_hyper_product_of_linear_factors_matches_the_poly_reference(data):
+    F, most = data.draw(st.sampled_from(LINEAR_FACTORS))
+    units = [v for v in F.carrier_values() if v != F.zero_value()]
+    linear = st.lists(st.sampled_from(units), min_size=2, max_size=2)
+    factors = [poly(F, c) for c in data.draw(st.lists(linear, min_size=5, max_size=most))]
+    tree = data.draw(_trees(list(range(1, len(factors) + 1))))
+    assert hyper_product(factors, tree) == ref_hyper_product(factors, tree)

@@ -309,6 +309,11 @@ class TestPolynomialHyperoperations:
         factors = [poly(SIGN, [-1, 1]), poly(SIGN, [-1, 1]), poly(SIGN, [1, 1])]
         assert hyper_product(factors) == hyper_product(factors, "((1 2) 3)")
 
+    def test_default_association_is_folded_at_any_depth(self):
+        # the left-nested default is as deep as the factor count
+        one = poly(SIGN, [1])
+        assert hyper_product([one] * 1200) == frozenset({one})
+
     def test_association_tree_validation(self):
         factors = [poly(SIGN, [-1, 1]), poly(SIGN, [1, 1])]
         with pytest.raises(DomainError):
