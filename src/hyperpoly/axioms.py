@@ -7,7 +7,6 @@ checks no axioms, such as every CLI verb but ``axioms``, never compiles it.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import operator
 
@@ -104,15 +103,16 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     every pair or triple otherwise, so each verdict is the full check's.
     Some reduced checks first run a faster test that proves them; when that
     test fails, the reduced check runs to name its first counterexample.
-    That costs O(n^2) table lookups, about 2.7·n^2 sums read when every
+    That costs O(n^2) table lookups, about 2·n^2 sums read when every
     premise holds, or O(n^3) for a table that fails a premise; a carrier
     above ``AXIOM_CARRIER_LIMIT`` raises DomainError.  Finite sums are read
-    raw through ``hyperadd_raw`` and kept nowhere, so the checks allocate
-    O(n) memory: the rows of fixed elements are read once per call, and the
-    group check one row at a time.  ``associativity`` compares
-    ``a+(b+c)``, the union of ``a+x`` over ``x`` in ``b+c``, with
-    ``(a+b)+c``; the grid reads ``(b+c)+a`` instead, which is the same as
-    sums there commute by definition.
+    raw through ``hyperadd_raw`` and kept nowhere, so once the units form a
+    cyclic group the checks allocate O(n) memory: the rows of fixed
+    elements are read once per call, the group check one row at a time and
+    distributivity one cycle at a time.
+    ``associativity`` compares ``a+(b+c)``, the union of ``a+x`` over ``x``
+    in ``b+c``, with ``(a+b)+c``; the grid reads ``(b+c)+a`` instead, which
+    is the same as sums there commute by definition.
 
     - ``multiplicative group``: :func:`unit_powers` finds a generator ``g``
       of the units and the discrete log of each unit, and every product
@@ -129,14 +129,20 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
       ``xy(b+c) = x(yb + yc) = xyb + xyc``, by associativity of the units
       and ``x*0 = 0``.  So by induction every power of ``g`` distributes,
       and those are all the units.  ``a = 0`` gives ``{0}`` on both sides,
-      since ``0*b = 0`` and ``0 + 0 = {0}``.
+      since ``0*b = 0`` and ``0 + 0 = {0}``.  At ``g`` a proof first walks
+      the cycles of ``(b, c) -> (gb, gc)`` through ``(0, 0)``, ``(1, 0)``,
+      ``(0, 1)`` and each ``(1, g^d)``, which hold every pair once, reading
+      each sum once: each step, the closing one too, compares the next sum
+      with ``g`` times this one, by size and by ``issuperset``, as
+      ``x -> gx`` is one to one.  If a step fails, the scan names a witness.
     - ``nonempty``, ``commutativity`` and ``unique inverse`` read the rows
       of ``0`` and ``1`` only, once the group, ``zero absorbs`` and
       ``distributivity`` pass.  For a unit ``b``, ``b+c = b(1 + c/b)`` and
       ``c+b = b(c/b + 1)``, and scaling by ``b`` is a bijection of the
       carrier that fixes ``0``.  So ``b+c`` is empty, differs from ``c+b``
       or holds ``0`` iff ``1+c/b`` does, and ``x -> bx`` maps the inverses
-      of ``1`` onto those of ``b``.
+      of ``1`` onto those of ``b``.  So only ``-0`` and ``-1`` are read;
+      once ``unique inverse`` passes, ``-b = b(-1)``, else every ``-x`` is.
     - ``associativity`` is checked with first argument ``1`` only, once
       those three and ``commutativity`` pass, and ``reversibility`` once
       the group, ``distributivity`` and ``neutral element`` pass.  With
@@ -191,6 +197,10 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
       takes one value on all orders of each multiset: 3·C(n+2, 3) values,
       not 2·n^3.  Distributivity keeps its full scan: halving it would
       assume that sums off the grid, such as ``ab + ac``, commute.
+    - With no generator, as on a grid, the group laws read each product of
+      two units once, into a table.  On a grid, distributivity reads each
+      ``a*x`` once per scalar: ``ab + ac`` is read off the grid where both
+      products lie on it, and computed, not kept, otherwise.  Reversibility's scan reads ``-a + c`` once per ``a``.
     """
     exhaustive = F.is_finite()
     vals = F.carrier_values() if exhaustive else F.sample_values()
@@ -205,10 +215,17 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     powers = unit_powers(F) if exhaustive else None
     g = powers[1 % len(powers)] if powers else None
     negs = {}  # -x for every x that has one inverse
-    for x in vals:
-        with contextlib.suppress(DomainError):
-            negs[x] = F.neg_value(x)
+
+    def read_negs(xs):
+        for x in xs:
+            with contextlib.suppress(DomainError):
+                negs[x] = F.neg_value(x)
+
+    # a finite carrier reads -0 and -1 now, and the rest only if needed
+    rest = [x for x in vals if x != zero and x != one] if exhaustive else []
+    read_negs([zero, one] if exhaustive else vals)
     results = {}
+    own = {} if exhaustive else {v: v for v in vals}  # a grid's values, as its objects
     # the checks read sums through add, add_left (a + s, the union of a + x
     # over x in s), add_right (s + c), scale, has (membership) and lift (a
     # finite set of values as a sum)
@@ -227,22 +244,16 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
         def row(a):  # a + x for every x, read once
             return {x: add(a, x) for x in vals}
-    else:  # rays and arcs need the HyperSet methods; each sum is kept
+    else:  # rays and arcs need the HyperSet methods; each grid sum is kept
         # a grid pair's sum by position, found by identity: no Fraction hashed
         position = {id(v): i for i, v in enumerate(vals)}
         grid = [[F.hyperadd_values(x, y) for y in vals] for x in vals]
-        own = {v: v for v in vals}
-        negs = {x: own.get(y, y) for x, y in negs.items()}  # the grid's objects
+        negs = {x: own.get(y, y) for x, y in negs.items()}
         add_right = F.add_set_value
 
-        def add(x, y):
+        def add(x, y):  # a sum off the grid is computed and kept nowhere
             i, j = position.get(id(x)), position.get(id(y))
-            return off_grid(x, y) if i is None or j is None else grid[i][j]
-
-        @functools.cache
-        def off_grid(x, y):  # read on the grid where x and y lie on it
-            x, y = own.get(x, x), own.get(y, y)
-            return add(x, y) if x in own and y in own else F.hyperadd_values(x, y)
+            return F.hyperadd_values(x, y) if i is None or j is None else grid[i][j]
 
         def add_left(a, s):  # the grid instances' sums commute by definition
             return F.add_set_value(s, a)
@@ -276,6 +287,8 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
                         yield (f"g={fmt(g)}, x={fmt(x)}, y={fmt(y)}: "
                                f"x*y = {fmt(xy)}, g^{xy_log} = {fmt(powers[xy_log])}")
             return
+        # the products of two units by position, each read once
+        table = [[F.mul_values(x, y) for y in units] for x in units]
         for x in units:
             if F.mul_values(one, x) != x:
                 yield f"x={fmt(x)}: 1*x = {fmt(F.mul_values(one, x))}"
@@ -285,13 +298,13 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
                 inverse = False
             if not inverse:
                 yield f"x={fmt(x)}: no multiplicative inverse"
-        for x, y in itertools.product(units, repeat=2):
-            xy = F.mul_values(x, y)
-            if xy == zero or xy != F.mul_values(y, x):
-                yield f"x={fmt(x)}, y={fmt(y)}: x*y = {fmt(xy)}"
-        for x, y, z in itertools.product(units, repeat=3):
-            if (F.mul_values(F.mul_values(x, y), z)
-                    != F.mul_values(x, F.mul_values(y, z))):
+        for i, j in itertools.product(range(len(units)), repeat=2):
+            xy = table[i][j]
+            if xy == zero or xy != table[j][i]:
+                yield f"x={fmt(units[i])}, y={fmt(units[j])}: x*y = {fmt(xy)}"
+        for i, j, k in itertools.product(range(len(units)), repeat=3):
+            x, y, z = units[i], units[j], units[k]
+            if F.mul_values(table[i][j], z) != F.mul_values(x, table[j][k]):
                 yield f"x={fmt(x)}, y={fmt(y)}, z={fmt(z)}: (xy)z != x(yz)"
         if exhaustive:
             notes.append("the unit group is not cyclic")
@@ -334,12 +347,15 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
                 yield f"a={fmt(a)}: second inverse {fmt(others[0])}"
 
     def gen_reversible(firsts):
-        for a, b, c in itertools.product(firsts, vals, vals):
-            if a not in negs or b not in negs:
-                yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}: hyperinverse undefined"
-                return
-            if has(add(b, c), a) != has(add(negs[a], c), negs[b]):
-                yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
+        for a in firsts:
+            row = [add(negs[a], c) for c in vals] if a in negs else None  # -a + c
+            for b in vals:
+                if row is None or b not in negs:
+                    yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(vals[0])}: hyperinverse undefined"
+                    return
+                for c, s in zip(vals, row):
+                    if has(add(b, c), a) != has(s, negs[b]):
+                        yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
 
     def gen_zero_absorbs():
         for a in vals:
@@ -348,10 +364,26 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
 
     def gen_distributive(scalars):
         for a in scalars:
-            ax = {x: F.mul_values(a, x) for x in vals}  # read once per scalar
+            products = map(F.mul_values, itertools.repeat(a), vals)
+            ax = {x: own.get(v, v) for x, v in zip(vals, products)}  # once per scalar
             for b, c in itertools.product(vals, vals):
                 if scale(a, add(b, c), ax) != add(ax[b], ax[c]):
                     yield f"a={fmt(a)}, b={fmt(b)}, c={fmt(c)}"
+
+    def distributive_on_orbits():
+        # round each cycle of (b, c) -> (gb, gc), each sum is g times the last
+        image = {x: F.mul_values(g, x) for x in vals}.__getitem__  # one to one
+        cycles = itertools.chain(
+            [[(zero, zero)], zip(powers, itertools.repeat(zero)),
+             zip(itertools.repeat(zero), powers)],
+            (zip(powers, powers[d:] + powers[:d]) for d in range(len(powers))))
+        for cycle in cycles:
+            sums = list(itertools.starmap(add, cycle))  # each read once
+            # the closing edge first, from the last sum to the first
+            for s, t in zip(sums[-1:] + sums, sums):
+                if len(t) != len(sums[0]) or not t.issuperset(map(image, s)):
+                    return False
+        return True
 
     # the proofs of the finite checks over triples: one multiset {1, b, c}
     # per scaling orbit
@@ -385,12 +417,18 @@ def check_axioms(F: Hyperfield) -> AxiomReport:
     premises = ("multiplicative group", "zero absorbs")
     cyclic = powers is not None
     at_g = cyclic and proved(*premises, "neutral element")
-    run("distributivity", gen_distributive([g] if at_g else vals))
+    run("distributivity", gen_distributive([g] if at_g else vals),
+        distributive_on_orbits if at_g else None)
     premises += ("distributivity",)
     rows = [zero, one] if proved(*premises) else vals
+    read_negs(rest if rows is vals else ())
     run("nonempty", gen_nonempty(rows))
     run("commutativity", gen_commutative(rows))
     run("unique inverse", gen_inverse(rows))
+    if proved(*premises, "unique inverse"):  # -x = x(-1), as above
+        negs.update((x, F.mul_values(x, negs[one])) for x in units)
+    elif rows is not vals:
+        read_negs(rest)
     associative = premises + ("commutativity",)
     commuting_grid = not exhaustive and results["commutativity"].passed
     run("associativity", gen_associative([one] if proved(*associative) else vals),

@@ -372,25 +372,31 @@ class FiniteHyperfield(Hyperfield):
         self._values = list(values)
         self._zero = zero
         self._one = one
-        self.mul_table = dict(mul_table)
-        self.add_table = {}
-        for (x, y), s in add_table.items():
-            fs = frozenset(s)
-            self.add_table[(x, y)] = fs
-            self.add_table.setdefault((y, x), fs)
-        for (x, y), v in list(self.mul_table.items()):
-            self.mul_table.setdefault((y, x), v)
         carrier = frozenset(self._values)
+        chain = itertools.chain.from_iterable
+
+        def complete(table, flat):
+            # n^2 keys, each a pair of carrier values, are every pair
+            return (len(table) == len(carrier) ** 2 and set(map(len, table)) == {2}
+                    and carrier.issuperset(chain(table))
+                    and carrier.issuperset(flat(table.values())))
+
+        # complete tables, each sum a frozenset, are copied as they are
+        whole = (complete(mul_table, iter) and complete(add_table, chain)
+                 and set(map(type, add_table.values())) == {frozenset})
+        self.mul_table = dict(mul_table)
+        self.add_table = dict(add_table) if whole else {
+            k: frozenset(s) for k, s in add_table.items()}
+        for table in () if whole else (self.add_table, self.mul_table):
+            for (x, y), v in list(table.items()):  # the other orientation
+                table.setdefault((y, x), v)
         if not {zero, one} <= carrier:
             raise DomainError(f"{name}: zero and one must lie in the carrier")
-        chain = itertools.chain.from_iterable
-        for kind, table, flat in (("product", self.mul_table, iter),
-                                  ("sum", self.add_table, chain)):
-            # n^2 keys, each a pair of carrier values, are every pair; only a
-            # table that fails the count builds the pair set, to name the
-            # least pair it misses
-            if (len(table) == len(carrier) ** 2 and carrier.issuperset(chain(table))
-                    and carrier.issuperset(flat(table.values()))):
+        for kind, table, flat in () if whole else (("product", self.mul_table, iter),
+                                                   ("sum", self.add_table, chain)):
+            # only an incomplete table builds the pair set, to name the least
+            # pair it misses
+            if complete(table, flat):
                 continue
             bad = (set(itertools.product(carrier, repeat=2)).difference(table)
                    | {k for k, v in table.items() if not carrier.issuperset(flat([v]))})

@@ -500,12 +500,16 @@ class QuotientHyperfield(FiniteHyperfield):
         self.cosets = cosets
         reps = sorted(cosets)
         name = f"quot:{p}:" + ",".join(str(g) for g in sorted(subgroup))
-        # both tables are symmetric; FiniteHyperfield mirrors each entry
-        pairs = list(itertools.combinations_with_replacement(reps, 2))
-        mul = {(a, b): coset_of[(a * b) % p] for a, b in pairs}
-        add = {(a, b): frozenset({coset_of[(x + y) % p]
-                                  for x in cosets[a] for y in cosets[b]})
-               for a, b in pairs}
+        # both tables whole, so FiniteHyperfield keeps them as they are
+        mul = {(a, b): coset_of[(a * b) % p] for a in reps for b in reps}
+        if len(subgroup) == 1:  # one residue per sum, one frozenset per residue
+            single = [frozenset({r}) for r in range(p)]
+            add = {(a, b): single[(a + b) % p] for a in reps for b in reps}
+        else:  # ah + bh' = h(a + bh'/h): the cosets of a + y for y in bH
+            add = {}
+            for a, b in itertools.combinations_with_replacement(reps, 2):
+                add[a, b] = add[b, a] = frozenset({coset_of[(a + y) % p]
+                                                   for y in cosets[b]})
         super().__init__(name, reps, 0, 1, mul, add)
 
 

@@ -789,6 +789,7 @@ class TestOutputStability:
 
     @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
     @pytest.mark.parametrize("spec", ["quot:31:1", "quot:37:1", "quot:41:1", "quot:43:1",
+                                      "quot:13:3", "quot:31:5", "quot:101:1",
                                       "Fp:31", "S", "K", "W", "Q", "P", "T"])
     def test_axioms_snapshot(self, capsys, monkeypatch, tmp_path, spec, fmt, ext):
         # the finite and the sample-grid axiom reports, pinned byte for byte

@@ -179,6 +179,86 @@ class TestErrors:
         assert str(info.value) == message
 
 
+class MirroredFirst(FiniteHyperfield):
+    """FiniteHyperfield as it built its tables before it kept whole ones as
+    given: each pair's other orientation is filled in first, then checked."""
+
+    def __init__(self, name, values, zero, one, mul_table, add_table):
+        self.name = name
+        self._values = list(values)
+        self._zero = zero
+        self._one = one
+        self.mul_table = dict(mul_table)
+        self.add_table = {}
+        for (x, y), s in add_table.items():
+            fs = frozenset(s)
+            self.add_table[(x, y)] = fs
+            self.add_table.setdefault((y, x), fs)
+        for (x, y), v in list(self.mul_table.items()):
+            self.mul_table.setdefault((y, x), v)
+        carrier = frozenset(self._values)
+        if not {zero, one} <= carrier:
+            raise DomainError(f"{name}: zero and one must lie in the carrier")
+        chain = itertools.chain.from_iterable
+        for kind, table, flat in (("product", self.mul_table, iter),
+                                  ("sum", self.add_table, chain)):
+            if (len(table) == len(carrier) ** 2 and carrier.issuperset(chain(table))
+                    and carrier.issuperset(flat(table.values()))):
+                continue
+            bad = (set(itertools.product(carrier, repeat=2)).difference(table)
+                   | {k for k, v in table.items() if not carrier.issuperset(flat([v]))})
+            if bad:
+                x, y = min(bad, key=lambda k: (self.sort_key(k[0]), self.sort_key(k[1])))
+                raise DomainError(f"{name}: no {kind} of {x!r} and {y!r} in the carrier")
+
+
+def quotient_tables(drop=(), extra=None):
+    """quot:7:1's tables, both orientations, as frozensets, without the pairs
+    ``drop`` and with ``extra`` added to both."""
+    q = build_quotient(7, [1])
+    mul = {k: v for k, v in q.mul_table.items() if k not in drop}
+    add = {k: v for k, v in q.add_table.items() if k not in drop}
+    for k, (product, total) in (extra or {}).items():
+        mul[k], add[k] = product, frozenset(total)
+    return mul, add
+
+
+UPPER = {k: v for k, v in build_quotient(7, [1]).mul_table.items() if k[0] <= k[1]}
+TABLES = {
+    "one orientation, set values": (
+        UPPER, {k: set(v) for k, v in build_quotient(7, [1]).add_table.items()
+                if k[0] <= k[1]}),
+    "both orientations, frozensets": quotient_tables(),
+    # 49 keys, one of them no carrier pair: (2, 5) is filled in from (5, 2)
+    "complete count, foreign key": quotient_tables([(2, 5)], {(0, 9): (0, {0})}),
+    "complete count, a pair missing both ways": quotient_tables(
+        [(2, 5), (5, 2)], {(0, 9): (0, {0}), (9, 0): (0, {0})}),
+    "complete count, a foreign value": quotient_tables([(2, 5)], {(0, 9): (9, {0})}),
+}
+
+
+@pytest.mark.parametrize("case", TABLES)
+def test_tables_are_built_as_by_mirroring_first(case):
+    def built(cls, mul, add):  # the tables, or the text of the DomainError
+        try:
+            F = cls("x", range(7), 0, 1, mul, add)
+        except DomainError as exc:
+            return str(exc)
+        return F.mul_table, F.add_table
+
+    mul, add = TABLES[case]
+    mul, add = dict(mul), dict(add)
+    expected = built(MirroredFirst, mul, add)
+    assert built(FiniteHyperfield, mul, add) == expected
+    if isinstance(expected, tuple):  # the instance keeps copies
+        F = FiniteHyperfield("x", range(7), 0, 1, mul, add)
+        for table in (mul, add):
+            table[(1, 1)] = table[(0, 0)]
+            del table[(0, 1)]
+        assert (F.mul_table, F.add_table) == expected
+        assert all(type(s) is frozenset for s in F.add_table.values())
+
+
 class TestAxioms:
     @pytest.mark.parametrize("field", [
         SIGN, KRASNER, WEAK_SIGN, PrimeField(5), PrimeField(7),
