@@ -1,7 +1,8 @@
 """The sign side of the pushforward inequality: sign changes give the
 multiplicities of 1 and -1 over the sign hyperfield in closed form (its
-``rule_roots``), and an exact Yun/Sturm counter gives the real roots of a
-rational polynomial by sign (``sign_hom``'s ``count_roots``).  Under
+``rule_roots``), and an exact Sturm counter gives the real roots of a
+rational polynomial by sign (``sign_hom``'s ``count_roots``).  Both count
+sign changes by one rule, ``ratpoly.variations``.  Under
 :mod:`hyperpoly.pushforward` the two make Descartes' rule of signs."""
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ def sign_changes(p: Poly) -> int:
         raise DomainError("sign_changes expects a polynomial over S")
     if p.is_zero():
         raise DomainError("sign_changes is undefined for the zero polynomial")
-    seq = [v for v in p.values() if v != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+    return ratpoly.variations([v for v in p.values() if v != 0])
 
 
 def substitute_neg(p: Poly) -> Poly:
@@ -36,15 +36,11 @@ def substitute_neg(p: Poly) -> Poly:
 def count_roots_by_sign(p: Poly) -> dict:
     """Real roots of a rational polynomial with multiplicity, keyed by sign.
 
-    Yun over Z splits p, cleared once to a primitive integer polynomial,
-    into squarefree factors; primitive Sturm chains count their roots.
+    p, cleared once to a primitive integer polynomial, goes down a tower
+    of primitive Sturm chains, one per multiplicity level.
     """
     if not isinstance(p.field, RationalField):
         raise DomainError("count_roots_by_sign expects a polynomial over Q")
     if p.is_zero():
         raise DomainError("root count is undefined for the zero polynomial")
-    counts = {-1: 0, 0: 0, 1: 0}
-    for f, i in ratpoly.yun_squarefree(list(p.values())):
-        for s, n in ratpoly.count_distinct_roots_by_sign(f).items():
-            counts[s] += i * n
-    return counts
+    return ratpoly.count_roots_by_sign(list(p.values()))

@@ -91,6 +91,7 @@ class RationalField(Hyperfield):
     _SAMPLE = [Fraction(v) for v in
                (0, 1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2),
                                             Fraction(1, 3)]
+    _ZERO, _ONE = Fraction(0), Fraction(1)
 
     def is_finite(self) -> bool:
         return False
@@ -99,10 +100,10 @@ class RationalField(Hyperfield):
         return list(self._SAMPLE)
 
     def zero_value(self):
-        return Fraction(0)
+        return self._ZERO
 
     def one_value(self):
-        return Fraction(1)
+        return self._ONE
 
     def validate_value(self, v):
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):

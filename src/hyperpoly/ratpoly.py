@@ -1,19 +1,18 @@
-"""Exact real root counting on primitive integer polynomials: Yun squarefree
-decomposition and Sturm chains.
+"""Exact real root counting on primitive integer polynomials: a tower of
+Sturm chains.
 
 A polynomial is an ascending coefficient list with no trailing zeros.  A
 rational input has its denominators cleared once, by their lcm, and is
 divided by its positive content, so the kernels see a primitive integer
 polynomial that is a positive multiple of the input.  Every later step keeps
-that invariant: quotients are exact in Z by Gauss's lemma, and a remainder
-is a positive multiple of the rational one, reduced by its positive content.
-Only roots and signs are read, and positive multiples keep both.
+that invariant: a remainder is a positive multiple of the rational one,
+reduced by its positive content.  Only roots and signs are read, and
+positive multiples keep both.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 
 
 def normalize(coeffs) -> list:
@@ -37,10 +36,6 @@ def primitive(p) -> list:
     return [c // g for c in q] if g > 1 else q
 
 
-def sub(p, q) -> list:
-    return normalize(a - b for a, b in zip_longest(p, q, fillvalue=0))
-
-
 def mul(p, q) -> list:
     if not p or not q:
         return []
@@ -53,20 +48,6 @@ def mul(p, q) -> list:
 
 def derivative(p) -> list:
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def exact_quotient(p, q) -> list:
-    """p / q for integer polynomials with q dividing p over Q; the quotient
-    has integer coefficients whenever q is primitive (Gauss's lemma)."""
-    rem = list(p)
-    n, lead = degree(q), q[-1]
-    quo = [0] * (len(p) - n)
-    for k in reversed(range(len(quo))):
-        c = quo[k] = rem[k + n] // lead
-        if c:
-            for i in range(n):
-                rem[k + i] -= c * q[i]
-    return quo
 
 
 def pseudo_remainder(p, q) -> list:
@@ -87,15 +68,6 @@ def pseudo_remainder(p, q) -> list:
     return normalize(rem[:n])
 
 
-def gcd(p, q) -> list:
-    """Primitive gcd of two integer polynomials, leading coefficient
-    positive, from the primitive pseudo-remainder sequence."""
-    a, b = primitive(p), primitive(q)
-    while b:
-        a, b = b, primitive(pseudo_remainder(a, b))
-    return a if not a or a[-1] > 0 else [-c for c in a]
-
-
 def expand_roots(roots) -> list:
     """The product of (d*T - n) over the roots n/d: the integer multiple of
     prod (T - r) by the product of the denominators."""
@@ -105,32 +77,9 @@ def expand_roots(roots) -> list:
     return p
 
 
-def yun_squarefree(p) -> list:
-    """Yun's algorithm: pairs (f_i, i) with p a rational multiple of
-    prod f_i^i, each f_i a squarefree primitive integer polynomial with a
-    positive leading coefficient, pairwise coprime.  Constant factors are
-    dropped."""
-    p = primitive(p)
-    if degree(p) < 1:
-        return []
-    dp = derivative(p)
-    g = gcd(p, dp)
-    out = []
-    c = exact_quotient(p, g)
-    d = sub(exact_quotient(dp, g), derivative(c))
-    i = 1
-    while degree(c) > 0:
-        f = gcd(c, d)
-        if degree(f) > 0:
-            out.append((f, i))
-        c, d = exact_quotient(c, f), exact_quotient(d, f)
-        d = sub(d, derivative(c))
-        i += 1
-    return out
-
-
 def sturm_chain(p) -> list:
-    """p, p', then negated remainders until a nonzero constant (or gcd).
+    """p, p', then negated remainders until one is zero: the last member
+    is gcd(p, p'), a constant when p is squarefree.
 
     Each member is the primitive integer polynomial that is a positive
     multiple of the classical Sturm sequence's member, so every sign agrees.
@@ -147,7 +96,7 @@ def sturm_chain(p) -> list:
     return chain
 
 
-def _variations(signs) -> int:
+def variations(signs) -> int:
     """Sign changes along a sequence of nonzero signs."""
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -160,12 +109,25 @@ def _limit_signs(p) -> tuple:
     return (hi if degree(p) % 2 == 0 else -hi, lo if i % 2 == 0 else -lo, lo, hi)
 
 
-def count_distinct_roots_by_sign(p) -> dict:
-    """Distinct roots of a squarefree p, keyed by sign: -1, 0 and 1.
+def count_roots_by_sign(p) -> dict:
+    """Real roots of a nonzero p with multiplicity, keyed by sign: -1, 0
+    and 1.
 
-    One Sturm chain is evaluated at the limits -inf, 0-, 0+ and +inf, so
-    no finite bound is chosen; zero is a root exactly when p(0) = 0.
+    The Sturm chain of g, read at the limits -inf, 0-, 0+ and +inf, counts
+    the distinct roots of g, so no finite bound is chosen; zero is a root
+    exactly when g(0) = 0.  The chain ends in gcd(g, g'), whose roots are
+    the repeated roots of g, each with one multiplicity fewer.  So the
+    distinct counts summed over g = p, gcd(g, g'), ... until g is constant
+    count every root with its multiplicity.
     """
-    signs = [_limit_signs(q) for q in sturm_chain(p)]
-    vneg, v0m, v0p, vpos = (_variations(column) for column in zip(*signs))
-    return {-1: vneg - v0m, 0: int(p[0] == 0), 1: v0p - vpos}
+    counts = {-1: 0, 0: 0, 1: 0}
+    g = p
+    while degree(g) > 0:
+        chain = sturm_chain(g)
+        vneg, v0m, v0p, vpos = (variations(column)
+                                for column in zip(*map(_limit_signs, chain)))
+        counts[-1] += vneg - v0m
+        counts[0] += g[0] == 0
+        counts[1] += v0p - vpos
+        g = chain[-1]
+    return counts

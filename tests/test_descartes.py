@@ -1,5 +1,5 @@
 """Sign changes, the sign rule under the pushforward harness, and the
-Sturm/Yun root counter against sympy."""
+Sturm tower root counter against sympy."""
 
 import itertools
 import random
@@ -161,6 +161,11 @@ class TestSturmOracle:
         # (T-1)^2 (T+1)
         assert count_roots_by_sign(poly(RATIONALS, [1, -1, -1, 1]))[1] == 2
         assert count_roots_by_sign(poly(RATIONALS, [1, 0, 1]))[1] == 0
+        # (T-1)^2 (T+1) (T-1/2)^3
+        coeffs = ratpoly.mul(
+            expand_roots([Fraction(1), Fraction(1), Fraction(-1)]),
+            expand_roots([Fraction(1, 2)] * 3))
+        assert count_roots_by_sign(poly(RATIONALS, coeffs)) == {1: 5, -1: 1, 0: 0}
 
     def test_negative_side(self):
         assert count_roots_by_sign(poly(RATIONALS, [6, -7, 0, 1]))[-1] == 1
@@ -183,6 +188,8 @@ class TestSturmOracle:
             assert counts[-1] == sum(1 for r in roots if r < 0)
 
     def test_full_line_consistency_per_squarefree_factor(self):
+        # the first Sturm chain of a non-squarefree p, zero roots and all,
+        # counts its distinct roots
         rng = random.Random(13)
         pool = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(-1, 2)]
         for _ in range(40):
@@ -191,24 +198,22 @@ class TestSturmOracle:
             coeffs = expand_roots(roots, Fraction(1))
             if rng.random() < 0.4:
                 coeffs = ratpoly.mul(coeffs, [Fraction(1), Fraction(0), Fraction(1)])
-            stripped = list(coeffs)
-            while stripped and stripped[0] == 0:
-                stripped.pop(0)
-            for f, _ in ratpoly.yun_squarefree(stripped):
-                assert ratpoly.count_distinct_roots_by_sign(f) == \
-                    sympy_sign_counts(f, distinct=True)
+            chain = ratpoly.sturm_chain(coeffs)
+            vneg, v0m, v0p, vpos = (ratpoly.variations(column)
+                                    for column in zip(*map(ratpoly._limit_signs, chain)))
+            distinct = {-1: vneg - v0m, 0: int(coeffs[0] == 0), 1: v0p - vpos}
+            assert distinct == sympy_sign_counts(coeffs, distinct=True)
 
-    def test_yun_recovers_multiplicity_structure(self):
-        # (T-1)^2 (T+1) (T-1/2)^3
-        coeffs = ratpoly.mul(
-            expand_roots([Fraction(1), Fraction(1), Fraction(-1)]),
-            expand_roots([Fraction(1, 2)] * 3))
-        factors = {i: f for f, i in ratpoly.yun_squarefree(coeffs)}
-        assert set(factors) == {1, 2, 3}
-        # primitive integer factors with a positive leading coefficient
-        assert factors[1] == [1, 1]
-        assert factors[2] == [-1, 1]
-        assert factors[3] == [-1, 2]
+    def test_one_sturm_chain_per_multiplicity_level(self, monkeypatch):
+        # (T-1)^5 (T+2) (T^2+1): the gcds (T-1)^4, ..., (T-1) each get a
+        # chain, and the constant after them does not
+        chains, sturm_chain = [], ratpoly.sturm_chain
+        monkeypatch.setattr(ratpoly, "sturm_chain",
+                            lambda p: chains.append(p) or sturm_chain(p))
+        coeffs = ratpoly.mul(expand_roots([Fraction(1)] * 5 + [Fraction(-2)]),
+                             [Fraction(1), Fraction(0), Fraction(1)])
+        assert count_roots_by_sign(poly(RATIONALS, coeffs)) == {1: 5, -1: 1, 0: 0}
+        assert [ratpoly.degree(p) for p in chains] == [8, 4, 3, 2, 1]
 
 
 class TestVerifyDescartes:
@@ -249,7 +254,7 @@ class TestVerifyDescartes:
 
 
 # random rational coefficients; f * g^2 with deg f <= 4 and deg g <= 2 keeps
-# the degree at most 8 and gives Yun repeated factors to find
+# the degree at most 8 and gives the counter repeated roots to find
 _rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _coeff_lists = st.lists(_rationals, min_size=1, max_size=5)
 

@@ -196,6 +196,13 @@ class TestSignMap:
         assert check_homomorphism(sign_hom()).passed
 
 
+class TestRationalField:
+    def test_zero_and_one_are_built_once(self):
+        # the axiom grids read zero_value once per scaled set
+        assert RATIONALS.zero_value() is RationalField().zero_value() == 0
+        assert RATIONALS.one_value() is RATIONALS.one_value() == 1
+
+
 class TestPadicValuation:
     def test_against_division_oracle(self):
         for x, p in [(-8, 2), (14, 2), (45, 3)]:

@@ -7,8 +7,10 @@ polynomials with a rational gcd, the Sturm chain of negated rational
 remainders, the hint expanded as lead * prod (T - r) and compared
 coefficient by coefficient, and ``functional_equiv`` evaluating both
 min-plus functions in rationals.  The properties ask the integer code for
-the same answers.  A last test checks the counter against sympy at degrees
-30 to 40, where the pseudo-remainder coefficients grow large.
+the same answers; the counter itself no longer factors, so rational Yun
+stays an independent oracle for it.  A last test checks the counter
+against sympy at degrees 30 to 40, where the pseudo-remainder
+coefficients grow large.
 """
 
 import random
@@ -200,15 +202,24 @@ def _factor(max_size):
 @example(f=[Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(1)],
          g=[Fraction(1)], h=[Fraction(1)])
 def test_counts_by_sign_match_the_rational_reference(f, g, h):
-    # f * g^2 * h^3, degree at most 12: Yun has squares and cubes to find
+    # f * g^2 * h^3, degree at most 12: squares and cubes for the tower
     assume((len(f) - 1) + 2 * (len(g) - 1) + 3 * (len(h) - 1) <= 12)
     coeffs = ratpoly.mul(ratpoly.mul(ratpoly.mul(f, g), ratpoly.mul(g, h)),
                          ratpoly.mul(h, h))
-    expected = ref_counts_by_sign(coeffs)
-    assert count_roots_by_sign(poly(RATIONALS, coeffs)) == expected
-    # the same factors: each rational one, cleared, is the integer one
-    assert ratpoly.yun_squarefree(coeffs) == [
-        (ratpoly.primitive(q), i) for q, i in ref_yun(coeffs)]
+    assert count_roots_by_sign(poly(RATIONALS, coeffs)) == ref_counts_by_sign(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_factor(5), g=_factor(3), k=st.integers(1, 6), j=st.integers(0, 3))
+# (T - 1)^6 T^3: six levels, the first three with a root at zero
+@example(f=[Fraction(1)], g=[Fraction(-1), Fraction(1)], k=6, j=3)
+def test_high_multiplicities_match_the_rational_reference(f, g, k, j):
+    # f * g^k * T^j, degree at most 20: each root of g has multiplicity k or more
+    assume((len(f) - 1) + k * (len(g) - 1) + j <= 20)
+    coeffs = [Fraction(0)] * j + f
+    for _ in range(k):
+        coeffs = ratpoly.mul(coeffs, g)
+    assert count_roots_by_sign(poly(RATIONALS, coeffs)) == ref_counts_by_sign(coeffs)
 
 
 # -- the split hint -------------------------------------------------------------
