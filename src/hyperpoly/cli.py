@@ -25,7 +25,6 @@ from .polynomial import (
     hyper_product,
     multiplicity,
     parse_poly,
-    poly_sort_key,
     quotients,
     roots,
     split_parts,
@@ -237,8 +236,12 @@ def _cmd_hyperprod(args) -> int:
         if part.startswith("(") and part.endswith(")"):
             part = part[1:-1]
         factors.append(parse_poly(F, part))
-    result = hyper_product(factors, association=args.assoc)
-    products = [format_poly(q) for q in sorted(result, key=poly_sort_key)]
+    # every product has one length, so one key and one text per value sort and print it
+    result = [q.values() for q in hyper_product(factors, association=args.assoc)]
+    keys = {v: F.sort_key(v) for v in set().union(*result)}
+    texts = {v: F.format_value(v) for v in keys}
+    result.sort(key=lambda t: tuple(map(keys.__getitem__, t)))
+    products = [",".join(map(texts.__getitem__, t)) or "0" for t in result]
     payload = {
         "field": F.name,
         "factors": [format_poly(f) for f in factors],

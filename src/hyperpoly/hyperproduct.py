@@ -15,18 +15,33 @@ from .polynomial import Poly
 HYPERPRODUCT_CHOICE_LIMIT = 10**6
 
 
-def _choices(sums: list, spent: list) -> list:
-    """The box of one product: the i-th coefficient is chosen from the i-th
-    entry, the values of ``sums[i]``.
+def _windows(t: tuple, m: int) -> list:
+    """The window of ``t`` that meets each coefficient of its product with a
+    factor of degree ``m``: the run of the coefficients it multiplies in."""
+    return [t[max(0, i - m):i + 1] for i in range(len(t) + m)]
 
-    ``spent[0]`` counts one hyperoperation's choices so far, every box's
-    counted whether or not it is enumerated later; a box that would take it
-    past ``HYPERPRODUCT_CHOICE_LIMIT`` is refused before any is enumerated.
+
+def _mul_box(F: Hyperfield, left: list, right: list, table: dict, spent: list) -> list:
+    """The box of the Cauchy-product hypersum of nonzero ``c`` and ``d``: the
+    i-th coefficient is chosen from the i-th entry.
+
+    ``left`` and ``right`` hold the windows of ``c`` and of ``d`` reversed
+    that meet each coefficient, and ``table`` maps a pair of windows to the
+    values of their terms' hypersum, checked enumerable once, when it is
+    entered.  ``spent[0]`` counts one hyperoperation's choices so far, every
+    box's counted whether or not it is enumerated later; a box that would
+    take it past ``HYPERPRODUCT_CHOICE_LIMIT`` is refused before any is
+    enumerated.  The top entry is the unit ``c[n] d[m]`` alone, so no tuple
+    has a trailing zero.
     """
-    if not all(isinstance(s, FiniteSet) for s in sums):
-        raise NonEnumerableError(
-            "polynomial hyperoperations need finitely enumerable hypersums")
-    options = [s.values for s in sums]
+    options = list(map(table.get, zip(left, right)))
+    for i, values in enumerate(options):
+        if values is None:
+            s = F.hypersum_values(tuple(map(F.mul_values, left[i], right[i])))
+            if not isinstance(s, FiniteSet):
+                raise NonEnumerableError(
+                    "polynomial hyperoperations need finitely enumerable hypersums")
+            options[i] = table[left[i], right[i]] = s.values
     spent[0] += math.prod(map(len, options))
     if spent[0] > HYPERPRODUCT_CHOICE_LIMIT:
         raise DomainError(f"enumeration would reach {spent[0]} coefficient choices, "
@@ -34,31 +49,20 @@ def _choices(sums: list, spent: list) -> list:
     return options
 
 
-def _mul_box(F: Hyperfield, c: tuple, d: tuple, sums: dict, spent: list) -> list:
-    """The box of the Cauchy-product hypersum of nonzero ``c`` and ``d``;
-    ``sums`` caches each tuple of terms' hypersum.  The top option is the
-    unit ``c[n] d[m]`` alone, so no tuple has a trailing zero."""
-    m, mul, r = len(d) - 1, F.mul_values, d[::-1]
-    options = []
-    for i in range(len(c) + m):
-        # c[k] d[i - k] for k = max(0, i - m) .. min(n, i): map stops at the shorter slice
-        terms = tuple(map(mul, c[max(0, i - m):], r[max(0, m - i):]))
-        s = sums.get(terms)
-        if s is None:
-            s = sums[terms] = F.hypersum_values(terms)
-        options.append(s)
-    return _choices(options, spent)
-
-
-def _mul_sets(F: Hyperfield, left: set, right: set, sums: dict, spent: list) -> set:
+def _mul_sets(F: Hyperfield, left: set, right: set, table: dict, spent: list) -> set:
     """The union of the products of every ``c`` in ``left`` and ``d`` in
     ``right``, as raw tuples, which all have one length.
 
-    Every box is built and budgeted first; the boxes are then enumerated in
-    the same order until the union fills their bounding box, the product of
-    the per-position unions, which holds every later box.
+    Each operand's windows are cut once (see :func:`_mul_box`).  Every box is
+    built and budgeted first; the boxes are then enumerated in the same
+    order until the union fills their bounding box, the product of the
+    per-position unions, which holds every later box.
     """
-    boxes = [_mul_box(F, c, d, sums, spent) for c, d in itertools.product(left, right)]
+    n, m = len(next(iter(left))) - 1, len(next(iter(right))) - 1
+    cuts = {c: _windows(c, m) for c in left}
+    rcuts = {d: _windows(d[::-1], n)[::-1] for d in right}
+    boxes = [_mul_box(F, cuts[c], rcuts[d], table, spent)
+             for c, d in itertools.product(left, right)]
     bound = math.prod(len(frozenset().union(*column)) for column in zip(*boxes))
     out = set()
     for j, box in enumerate(boxes):
@@ -120,11 +124,11 @@ def _tree_leaves(tree) -> list:
     return _tree_leaves(tree[0]) + _tree_leaves(tree[1])
 
 
-def _evaluate(F: Hyperfield, node, factors: list, sums: dict, spent: list) -> set:
+def _evaluate(F: Hyperfield, node, factors: list, table: dict, spent: list) -> set:
     if isinstance(node, int):
         return {factors[node - 1].values()}
-    return _mul_sets(F, _evaluate(F, node[0], factors, sums, spent),
-                     _evaluate(F, node[1], factors, sums, spent), sums, spent)
+    return _mul_sets(F, _evaluate(F, node[0], factors, table, spent),
+                     _evaluate(F, node[1], factors, table, spent), table, spent)
 
 
 def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
@@ -150,11 +154,11 @@ def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
         raise DomainError("association tree must use each factor index once")
     if any(f.is_zero() for f in factors):
         return frozenset({Poly(F, ())})
-    sums, spent = {}, [0]
+    table, spent = {}, [0]
     if tree is not None:
-        out = _evaluate(F, tree, factors, sums, spent)
+        out = _evaluate(F, tree, factors, table, spent)
     else:  # the left-nested default, whose leaves are 1..n, as a fold
         out = {factors[0].values()}
         for f in factors[1:]:
-            out = _mul_sets(F, out, {f.values()}, sums, spent)
+            out = _mul_sets(F, out, {f.values()}, table, spent)
     return frozenset(Poly(F, t) for t in out)

@@ -109,10 +109,6 @@ def parse_poly(field: Hyperfield, text: str) -> Poly:
     return p
 
 
-def poly_sort_key(p: Poly):
-    return (len(p.values()), tuple(map(p.field.sort_key, p.values())))
-
-
 # -- evaluation and roots --------------------------------------------------
 
 
@@ -271,7 +267,9 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
     factor (-1/a)^k, so every state shares the test's outcome, and the bound
     is its length less 1 if the test holds at the top, else less 2.  The
     memo and the :class:`_Transitions` table live for one call, so the memo's
-    keys are the raw coefficient tuples.
+    keys are the raw coefficient tuples.  The memo maps each state to its
+    multiplicity and its first quotient that attains it, and the witness
+    follows those links down from ``c``.
     """
     F = p.field
     F.check_member(a)
@@ -297,22 +295,25 @@ def multiplicity(p: Poly, a: Element) -> MultReport:
     table, memo = _Transitions(), {}
 
     def rec(q: tuple):
-        best = (0, ())
+        best = (0, None)
         for cand in _quotients_raw(F, q, av, table):
-            m, chain = memo.get(cand) or rec(cand)  # entries are nonempty tuples
-            if m + 1 > best[0]:
-                best = (m + 1, (cand,) + chain)
-                if best[0] == len(q) - gap:
+            m = (memo.get(cand) or rec(cand))[0] + 1  # entries are nonempty tuples
+            if m > best[0]:
+                best = (m, cand)
+                if m == len(q) - gap:
                     break
         memo[q] = best
         return best
 
     try:
-        m, chain = rec(c)
+        m = rec(c)[0]
     finally:
         del rec  # rec refers to itself; the cycle would keep memo alive
-    pad = p.values()[:low]
-    return MultReport(a, m, "recursive", tuple(Poly(F, pad + q) for q in chain))
+    pad, chain = p.values()[:low], []
+    for _ in range(m):
+        c = memo[c][1]
+        chain.append(Poly(F, pad + c))
+    return MultReport(a, m, "recursive", tuple(chain))
 
 
 def roots(p: Poly) -> dict:

@@ -485,6 +485,19 @@ class TestExitCodes:
         assert err.splitlines()[0] == ("error: enumeration would reach 1862 "
                                        "coefficient choices, more than the limit 1801")
 
+    def test_hyperproduct_limit_trips_where_the_right_operand_is_larger(self, capsys,
+                                                                      monkeypatch):
+        # the nodes of (1 (2 (3 (4 5)))) pair one product with 1, 3, 8 and 26,
+        # spending 3, 16, 88 and 488 choices in all: the last node's boxes are
+        # budgeted in the order it reads its right operand in
+        monkeypatch.setattr(hyperproduct, "HYPERPRODUCT_CHOICE_LIMIT", 300)
+        code, out, err = run(capsys, "hyperprod", "--field", "W",
+                             "--polys", "(1,1);(-1,1);(1,1);(-1,1);(1,1)",
+                             "--assoc", "(1 (2 (3 (4 5))))")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == ("error: enumeration would reach 305 "
+                                       "coefficient choices, more than the limit 300")
+
     def test_hyperproduct_choice_limit_is_one(self, capsys, monkeypatch):
         # W at the default limit: 9 alternating factors need 432,576 choices,
         # 10 would need 2,357,339; a lowered limit keeps the test fast

@@ -25,10 +25,14 @@ from hyperpoly import (
     poly,
     roots,
 )
-from hyperpoly.polynomial import poly_sort_key
 
 FINITE = [SIGN, KRASNER] + [parse_field(f"Fp:{p}") for p in (5, 7, 11, 13)]
 FIELDS = FINITE[2:]  # classical: a product of linear factors has deg roots
+
+
+def poly_sort_key(p):
+    """Canonical order: by length, then value by value in sort order."""
+    return (len(p.values()), tuple(map(p.field.sort_key, p.values())))
 
 
 def _nonzero(field):

@@ -11,6 +11,7 @@ the same products of two factors.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from hyperpoly import (
     KRASNER,
     RATIONALS,
     SIGN,
+    TROPICAL,
     WEAK_SIGN,
     DomainError,
     FiniteSet,
@@ -157,3 +159,26 @@ def test_hyper_product_of_linear_factors_matches_the_poly_reference(data):
     factors = [poly(F, c) for c in data.draw(st.lists(linear, min_size=5, max_size=most))]
     tree = data.draw(_trees(list(range(1, len(factors) + 1))))
     assert hyper_product(factors, tree) == ref_hyper_product(factors, tree)
+
+
+# a right operand that holds more tuples than the left: each node's windows
+# of its larger operand are cut once, and every box still pairs them in order
+RIGHT_HEAVY_TREES = ["(1 ((2 3) 4))", "(1 (2 (3 (4 5))))"]
+
+
+@pytest.mark.parametrize("tree", RIGHT_HEAVY_TREES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_right_heavy_trees_match_the_poly_reference(tree, data):
+    F = data.draw(st.sampled_from([SIGN, WEAK_SIGN, KRASNER, parse_field("quot:7:2")]))
+    units = [v for v in F.carrier_values() if v != F.zero_value()]
+    lower = st.lists(st.sampled_from(F.carrier_values()), min_size=1, max_size=2)
+    factors = [poly(F, data.draw(lower) + [data.draw(st.sampled_from(units))])
+               for _ in _tree_leaves(parse_assoc(tree))]
+    assert hyper_product(factors, tree) == ref_hyper_product(factors, tree)
+
+
+def test_tropical_hyperproducts_are_not_enumerated():
+    """T's sum of two equal terms is a ray, so the box is refused."""
+    with pytest.raises(NonEnumerableError, match="finitely enumerable hypersums"):
+        hyper_product([poly(TROPICAL, [0, 0]), poly(TROPICAL, [0, 0])])

@@ -1,4 +1,4 @@
-"""The multiplicity search against two references.
+"""The multiplicity search against its references.
 
 The element-level reference is the quotient enumeration and recursion that
 the library used before its search moved to raw values: every step goes
@@ -6,7 +6,9 @@ through ``mul`` and ``neg`` on checked elements, and reads sums raw.  The raw
 reference builds every chain down from c_n, filters at c_0 and sorts, as the
 raw search did before it walked only the surviving chains; its recursion has
 no early exit.  The properties ask the search for the same quotients in the
-same order, the same multiplicity and the same witness chain.
+same order, the same multiplicity and the same witness chain.  One more
+reference is the search as it was before its memo kept links instead of
+whole witness chains.
 """
 
 import pytest
@@ -25,10 +27,15 @@ from hyperpoly import (
     quotients,
     witness_chain_valid,
 )
-from hyperpoly.polynomial import _quotients_raw, _Transitions, poly_sort_key
+from hyperpoly.polynomial import _quotients_raw, _Transitions
 
 # module-level references keep the parsed instances alive for the whole run
 FIELDS = [SIGN, KRASNER, WEAK_SIGN, parse_field("Fp:5"), parse_field("quot:7:2")]
+
+
+def poly_sort_key(p):
+    """Canonical order: by length, then value by value in sort order."""
+    return (len(p.values()), tuple(map(p.field.sort_key, p.values())))
 
 
 def reference_quotients(p, a) -> tuple:
@@ -253,3 +260,56 @@ def test_a_full_chain_fixes_the_lowest_coefficient(field):
 
     for strategy in (polys(field, max_degree=5), full_multiplicity_polys(field)):
         settings(max_examples=20, deadline=None)(given(strategy)(check))()
+
+
+def chain_memo_search(F, c: tuple, av) -> tuple:
+    """(multiplicity, witness, ord) of a nonzero ``av``, from the search whose
+    memo held each state's whole witness chain; its ``rec`` is kept verbatim.
+    The witness is that of ``c`` with ``T^ord`` stripped."""
+    zero = F.zero_value()
+    low = next(i for i, v in enumerate(c) if v != zero)
+    c, power = c[low:], F.one_value()
+    for _ in range(len(c) - 1):
+        power = F.mul_values(power, F.neg_value(av))
+    gap = 1 if c[0] == F.mul_values(power, c[-1]) else 2
+    table, memo = _Transitions(), {}
+
+    def rec(q: tuple):
+        best = (0, ())
+        for cand in _quotients_raw(F, q, av, table):
+            m, chain = memo.get(cand) or rec(cand)  # entries are nonempty tuples
+            if m + 1 > best[0]:
+                best = (m + 1, (cand,) + chain)
+                if best[0] == len(q) - gap:
+                    break
+        memo[q] = best
+        return best
+
+    try:
+        m, chain = rec(c)
+    finally:
+        del rec  # rec refers to itself; the cycle would keep memo alive
+    return m, chain, low
+
+
+@pytest.mark.parametrize("field", [SIGN, parse_field("quot:13:3")], ids=lambda f: f.name)
+def test_witness_links_match_the_chain_memo(field):
+    """The memo's links, followed from the top, give the chain-memo witness,
+    over S up to degree 10 and quot:13:3 up to degree 7, times T^0 to T^2."""
+    units = [v for v in field.carrier_values() if v != field.zero_value()]
+    most = 10 if field is SIGN else 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2), st.data())
+    def check(k, data):
+        p = data.draw(polys(field, max_degree=most - k))
+        c = (field.zero_value(),) * k + p.values()
+        for a in units:
+            report = multiplicity(poly(field, c), field.element(a))
+            m, chain, low = chain_memo_search(field, c, a)
+            assert report.multiplicity == m
+            assert tuple(q.values() for q in report.witness) == \
+                tuple(c[:low] + q for q in chain)
+
+    check()
+
