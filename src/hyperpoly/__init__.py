@@ -49,7 +49,6 @@ from .polynomial import (
     divides_with_quotient,
     eval_hyperset,
     format_poly,
-    hyper_mul_poly,
     hyper_product,
     is_root,
     multiplicity,

@@ -183,7 +183,7 @@ def _cmd_newton(args) -> int:
                   for seg in npg.segments]
         if npg.inf_prefix:
             lines.append(f"inf_prefix={npg.inf_prefix}")
-        if args.plot_data:
+        if args.plot_data is not None:
             try:
                 with open(args.plot_data, "w", encoding="ascii") as fh:
                     fh.write(npg.plot_data())

@@ -125,12 +125,6 @@ class Element(FrozenRecord):
     def __hash__(self) -> int:
         return hash((self.field, self.value))
 
-    def __mul__(self, other: "Element") -> "Element":
-        return self.field.mul(self, other)
-
-    def __neg__(self) -> "Element":
-        return self.field.neg(self)
-
     def __repr__(self) -> str:
         return f"{self.field.name}:{self.field.format_value(self.value)}"
 
@@ -221,8 +215,9 @@ class Hyperfield:
 
     Subclasses provide the carrier conventions and the raw-value operations,
     sums included; the base class supplies the generic recursive hypersum.
-    Sums are read on raw values only.  :class:`Element` wraps values at the
-    boundary (``element``, ``mul``, ``neg``), which checks membership once.
+    Sums and products are read on raw values only.  :class:`Element` wraps
+    values at the boundary (``element``, ``zero``, ``one``), and the public
+    operations check membership once (``check_member``).
     Instances compare by object identity.
     """
 
@@ -326,21 +321,9 @@ class Hyperfield:
     def one(self) -> Element:
         return Element(self, self.one_value())
 
-    def elements(self) -> list[Element]:
-        return [Element(self, v) for v in self.carrier_values()]
-
     def check_member(self, a: Element) -> None:
         if not isinstance(a, Element) or a.field is not self:
             raise DomainError(f"element {a!r} does not belong to {self.name}")
-
-    def mul(self, a: Element, b: Element) -> Element:
-        self.check_member(a)
-        self.check_member(b)
-        return Element(self, self.mul_values(a.value, b.value))
-
-    def neg(self, a: Element) -> Element:
-        self.check_member(a)
-        return Element(self, self.neg_value(a.value))
 
     # -- root multiplicities ------------------------------------------------
 

@@ -353,13 +353,6 @@ def witness_chain_valid(p: Poly, report: MultReport) -> bool:
 # -- polynomial hyperoperations ---------------------------------------------
 
 
-def hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
-    """Cauchy-product hypersum: every choice of e_i in sum of c_k d_l, k+l=i."""
-    if q.field is not p.field:
-        raise DomainError("polynomials over different instances")
-    return hyper_product([p, q])
-
-
 def hyper_product(factors: Sequence[Poly], association=None) -> frozenset:
     """Evaluate a hyperproduct of polynomials under a given association tree:
     :func:`hyperpoly.hyperproduct.hyper_product`, loaded on the first call."""

@@ -341,6 +341,13 @@ class TestExitCodes:
         assert err == "error: --plot-data applies only to newton over T\n"
         assert not (tmp_path / "segments.txt").exists()
 
+    def test_newton_over_t_with_empty_plot_data_path_is_one(self, capsys):
+        # an empty path is a path that cannot be written, not an absent flag
+        code, out, err = run(capsys, "newton", "--field", "T", "--poly", "2,0,1",
+                             "--plot-data", "")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot write plot data to '': No such file or directory\n"
+
     @pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
     def test_newton_prime_that_is_not_prime_is_two(self, capsys, prime):
         # the rule of Fp:<p> and padic:<p>: a non-prime below the primality

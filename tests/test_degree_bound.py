@@ -19,7 +19,7 @@ from hyperpoly import (
     SIGN,
     TROPICAL,
     expand_roots,
-    hyper_mul_poly,
+    hyper_product,
     parse_field,
     parse_poly,
     poly,
@@ -54,7 +54,7 @@ def split_polys(draw, field):
     for _ in range(draw(st.integers(1, 6))):
         a = draw(st.sampled_from(_nonzero(field)))
         t_minus_a = poly(field, [field.neg_value(a), field.one_value()])
-        p = draw(st.sampled_from(sorted(hyper_mul_poly(t_minus_a, p), key=poly_sort_key)))
+        p = draw(st.sampled_from(sorted(hyper_product([t_minus_a, p]), key=poly_sort_key)))
     return p
 
 

@@ -3,9 +3,10 @@
 ``check_homomorphism`` runs on raw values through ``hom.fn``.  The reference
 below is the element-level checker it replaced: every value goes through
 ``hom(x)``, the membership-checked boundary, and through the element-level
-``mul``; sums are read raw.  Both must report the same violations in the same
-order, on random value tables between finite instances and on twisted sign
-and p-adic maps over the sample grid of Q.
+product, kept here as ``element_mul``; sums are read raw.  Both must report
+the same violations in the same order, on random value tables between
+finite instances and on twisted sign and p-adic maps over the sample grid
+of Q.
 """
 
 import itertools
@@ -30,6 +31,14 @@ SIGN_TARGETS = FINITE[:3]
 BASES = [sign_hom(), padic_hom(2), padic_hom(3)]
 
 
+def element_mul(F, a, b):
+    """The element-level product the checker used: both operands checked
+    against ``F``, the product wrapped in ``F``."""
+    F.check_member(a)
+    F.check_member(b)
+    return Element(F, F.mul_values(a.value, b.value))
+
+
 def reference_violations(hom):
     """The element-level checker: f(0)=0, f(1)=1, f(ab)=f(a)f(b) and
     f(a+b) in f(a)+f(b), over the carrier or the sample grid."""
@@ -42,7 +51,7 @@ def reference_violations(hom):
     elems = [Element(src, v) for v in src.sample_values()]
     for a, b in itertools.product(elems, repeat=2):
         fa, fb = hom(a), hom(b)
-        if hom(src.mul(a, b)) != tgt.mul(fa, fb):
+        if hom(element_mul(src, a, b)) != element_mul(tgt, fa, fb):
             violations.append(("f(ab)=f(a)f(b)", a, b))
         image = tgt.hyperadd_values(fa.value, fb.value)
         if not all(image.contains_value(hom(Element(src, s)).value)

@@ -4,9 +4,9 @@ The reference below is the enumeration the library used before its
 hyperoperations moved to raw coefficient tuples, kept verbatim apart from
 the ``ref_`` names: every candidate coefficient choice becomes a checked,
 normalized ``Poly``, and a hyperproduct multiplies every pair of ``Poly``
-results through ``hyper_mul_poly``.  The properties ask the library for the
-same sets, under random association trees and with zero factors, and for
-the same products of two factors.
+results through the library's two-factor product, here ``ref_mul_poly``.
+The properties ask the library for the same sets, under random association
+trees and with zero factors, and for the same products of two factors.
 """
 
 import itertools
@@ -25,7 +25,6 @@ from hyperpoly import (
     FiniteSet,
     NonEnumerableError,
     Poly,
-    hyper_mul_poly,
     hyper_product,
     parse_field,
     poly,
@@ -55,7 +54,7 @@ def ref_choices(F: Hyperfield, sums: list) -> frozenset:
                      for combo in itertools.product(*(s.values for s in sums)))
 
 
-def ref_hyper_mul_poly(p: Poly, q: Poly) -> frozenset:
+def ref_mul_poly(p: Poly, q: Poly) -> frozenset:
     """Cauchy-product hypersum: every choice of e_i in sum of c_k d_l, k+l=i."""
     F = p.field
     if q.field is not F:
@@ -95,7 +94,7 @@ def ref_hyper_product(factors, association=None) -> frozenset:
             return frozenset({factors[node - 1]})
         out = set()
         for u, v in itertools.product(ev(node[0]), ev(node[1])):
-            out |= ref_hyper_mul_poly(u, v)
+            out |= ref_mul_poly(u, v)
         return frozenset(out)
 
     try:
@@ -138,10 +137,10 @@ def test_hyper_product_matches_the_poly_reference(data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_hyper_mul_poly_matches_the_poly_reference(data):
+def test_two_factor_products_match_the_poly_reference(data):
     F = data.draw(st.sampled_from(FIELDS))
     p, q = data.draw(_polys(F, max_degree=3)), data.draw(_polys(F, max_degree=3))
-    assert hyper_mul_poly(p, q) == ref_hyper_mul_poly(p, q)
+    assert hyper_product([p, q]) == ref_mul_poly(p, q)
 
 
 # linear factors, up to as many as the reference multiplies in well under a

@@ -21,17 +21,22 @@ from hyperpoly import (
     WEAK_SIGN,
     DomainError,
     FiniteHyperfield,
+    Homomorphism,
     NonEnumerableError,
     ParseError,
     QuotientHyperfield,
     TropicalHyperfield,
     build_quotient,
+    divides_with_quotient,
+    eval_hyperset,
     hyper_product,
+    is_root,
     multiplicity,
     newton_polygon,
     parse_field,
     poly,
     quotient_projection,
+    quotients,
     roots,
     sign_hyperfield,
 )
@@ -51,11 +56,28 @@ class TestNameCollisions:
         assert report.multiplicity == 1
         assert report.method == "recursive"
 
-    def test_same_named_table_elements_are_rejected(self):
-        other = sign_hyperfield()
-        assert other.name == SIGN.name
-        with pytest.raises(DomainError):
-            SIGN.mul(SIGN.element(1), other.element(1))
+    # each instance against another of its name, both ways for T, and one
+    # pair whose names differ
+    @pytest.mark.parametrize("F, G", [
+        (SIGN, sign_hyperfield()),
+        (TROPICAL, table_copy("T", KRASNER)),
+        (table_copy("T", KRASNER), TROPICAL),
+        (SIGN, WEAK_SIGN),
+    ], ids=["S-S", "T-table", "table-T", "S-W"])
+    def test_every_element_boundary_rejects_another_instance(self, F, G):
+        assert (F.name == G.name) == (G is not WEAK_SIGN)
+        one = F.one_value()
+        p, q = poly(F, [F.neg_value(one), one]), poly(F, [one])  # p in (T - 1) q
+        hom = Homomorphism(F, F, lambda x: x, "identity")
+        for boundary in (lambda a: multiplicity(p, a), lambda a: quotients(p, a),
+                         lambda a: eval_hyperset(p, a), lambda a: is_root(p, a),
+                         lambda a: divides_with_quotient(p, a, q), hom):
+            with pytest.raises(DomainError, match="does not belong to"):
+                boundary(G.one())
+        assert hom(F.one()) == F.one() and divides_with_quotient(p, F.one(), q)
+        assert not divides_with_quotient(p, F.one(), poly(G, [G.one_value()]))
+        with pytest.raises(DomainError, match="factors over different instances"):
+            hyper_product([p, poly(G, [G.one_value()] * 2)])
 
     def test_shared_memo_keeps_instances_apart(self):
         weak_named_s = table_copy("S", WEAK_SIGN)
@@ -76,7 +98,8 @@ class TestInterning:
         assert build_quotient(7, [2, 4]) is q
         assert build_quotient(7, [3]) is not q
         # elements of one parse are accepted by the next
-        assert parse_field("quot:7:1,2,4").mul(q.one(), q.one()) == q.one()
+        one = q.one_value()
+        assert is_root(poly(parse_field("quot:7:1,2,4"), [q.neg_value(one), one]), q.one())
 
     def test_live_quotient_is_returned_without_a_build(self, monkeypatch):
         q = build_quotient(11, [3])

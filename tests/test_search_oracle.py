@@ -2,7 +2,8 @@
 
 The element-level reference is the quotient enumeration and recursion that
 the library used before its search moved to raw values: every step goes
-through ``mul`` and ``neg`` on checked elements, and reads sums raw.  The raw
+through a product and a negation on checked elements, kept here as
+``element_mul`` and ``element_neg``, and reads sums raw.  The raw
 reference builds every chain down from c_n, filters at c_0 and sorts, as the
 raw search did before it walked only the surviving chains; its recursion has
 no early exit.  The properties ask the search for the same quotients in the
@@ -20,7 +21,7 @@ from hyperpoly import (
     KRASNER,
     SIGN,
     WEAK_SIGN,
-    hyper_mul_poly,
+    hyper_product,
     multiplicity,
     parse_field,
     poly,
@@ -38,6 +39,18 @@ def poly_sort_key(p):
     return (len(p.values()), tuple(map(p.field.sort_key, p.values())))
 
 
+def element_mul(F, a, b):
+    """The element-level product: both operands checked against ``F``."""
+    F.check_member(a)
+    F.check_member(b)
+    return Element(F, F.mul_values(a.value, b.value))
+
+
+def element_neg(F, a):
+    F.check_member(a)
+    return Element(F, F.neg_value(a.value))
+
+
 def reference_quotients(p, a) -> tuple:
     F = p.field
     n = p.degree
@@ -52,13 +65,13 @@ def reference_quotients(p, a) -> tuple:
         ci = p.coeffs[i]
         nxt = []
         for chain in chains:
-            for d in F.hyperadd_raw(ci.value, F.mul(a, chain[-1]).value):
+            for d in F.hyperadd_raw(ci.value, element_mul(F, a, chain[-1]).value):
                 nxt.append(chain + (Element(F, d),))
         chains = nxt
     c0 = p.coeffs[0]
     found = set()
     for chain in chains:
-        if F.neg(F.mul(a, chain[-1])) == c0:
+        if element_neg(F, element_mul(F, a, chain[-1])) == c0:
             found.add(poly(F, [d.value for d in reversed(chain)]))
     return tuple(sorted(found, key=poly_sort_key))
 
@@ -124,7 +137,7 @@ def test_raw_search_matches_element_reference(field):
     @settings(max_examples=40, deadline=None)
     @given(polys(field))
     def check(p):
-        for a in field.elements():
+        for a in map(field.element, field.carrier_values()):
             assert quotients(p, a) == reference_quotients(p, a)
             report = multiplicity(p, a)
             assert report.multiplicity == reference_multiplicity(p, a)
@@ -197,7 +210,7 @@ def test_multiplicity_and_witness_match_plain_recursion(field):
     def check(k, data):
         p = data.draw(polys(field, max_degree=7 - k))
         p = poly(field, [field.zero_value()] * k + list(p.values()))
-        for a in field.elements():
+        for a in map(field.element, field.carrier_values()):
             report = multiplicity(p, a)
             m, chain = plain_multiplicity(field, p.values(), a.value)
             assert report.multiplicity == m
@@ -220,7 +233,7 @@ def full_multiplicity_polys(draw, field, max_steps=5):
     p = poly(field, [field.zero_value()] * draw(st.integers(0, 2))
              + [draw(st.sampled_from(units))])
     for _ in range(draw(st.integers(1, max_steps))):
-        p = draw(st.sampled_from(sorted(hyper_mul_poly(t_minus_a, p),
+        p = draw(st.sampled_from(sorted(hyper_product([t_minus_a, p]),
                                         key=poly_sort_key)))
     return p
 

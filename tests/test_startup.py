@@ -38,7 +38,7 @@ PUBLIC = [
     "TropicalHyperfield", "TropicalRay", "WEAK_SIGN", "axioms", "build_quotient",
     "check_axioms", "check_homomorphism", "core", "count_roots_by_sign",
     "descartes", "divides_with_quotient", "eval_hyperset", "expand_roots",
-    "format_poly", "functional_equiv", "hyper_mul_poly", "hyper_product",
+    "format_poly", "functional_equiv", "hyper_product",
     "hyperproduct", "in_product", "instances", "is_root", "krasner_hyperfield",
     "multiplicity", "newton_polygon", "padic_hom", "parse_field",
     "parse_homomorphism", "parse_poly", "poly", "polynomial", "pushforward",
@@ -78,7 +78,7 @@ def test_cli_starts_without_code_generation_or_unused_verbs():
     assert result["loaded"] == []
     assert result["codes"] == [0, 0, 0, 0]
     assert result["by_verb"] == LOADED_BY
-    assert len(PUBLIC) == 69 and result["all"] == PUBLIC
+    assert len(PUBLIC) == 68 and result["all"] == PUBLIC
     assert result["unbound"] == []
 
 
